@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from . import comm, linarith, monofun, mularith, terms
+from . import comm, elim, linarith, monofun, mularith, terms
 from .comm import (EQ, GE, GT, LE, LT, CommAtom, ResourceLimitError,
                    SignContradiction, UNIT, make_atom)
-from .linarith import from_comm, lin_atom, make_system
+from .linarith import from_comm, lin_atom
 from .monofun import AppEntry, MonoDecl
 from .mularith import ROOT_DENOM_BOUND, SignEnv
 from .terms import (AddNode, Atom, MultNode, NormalTerm, Preterm, RawTerm,
@@ -78,8 +79,7 @@ class ProblemState:
         self._clock = 0
         self._version: Dict[Atom, int] = {}
         self._visited: Dict[tuple, int] = {}
-        self._lin_cache: Optional[tuple] = None
-        self._lin_cache_clock = -1
+        self._snapshot: Optional[Snapshot] = None
 
     # -- naming ------------------------------------------------------------
 
@@ -148,6 +148,16 @@ class ProblemState:
 
     def _mark_visited(self, module: str, u: Atom, v: Atom) -> None:
         self._visited[(module, u, v)] = self._clock
+
+    def snapshot(self) -> "Snapshot":
+        """The table as of the current clock, built once per table version.
+
+        Exact because every change to the table, the definitions or the
+        signs advances the clock through ``_touch``.
+        """
+        if self._snapshot is None or self._snapshot.clock != self._clock:
+            self._snapshot = Snapshot(self)
+        return self._snapshot
 
     # -- the comparison table ----------------------------------------------
 
@@ -250,6 +260,37 @@ class ProblemState:
         return True
 
 
+class Snapshot:
+    """What the passes read off one version of the blackboard: the table's
+    atoms, the premise strings every derived step cites, and, built on first
+    use, the linear system and the positive cone."""
+
+    def __init__(self, state: ProblemState):
+        self._state = state
+        self.clock = state._clock
+        self.atoms = tuple(state.comm_atoms())
+        self.premises = tuple(state.def_strings()) + tuple(
+            str(a) for a in self.atoms)
+
+    @cached_property
+    def system(self) -> tuple:
+        atoms = []
+        for name, entries in self._state.defs_add.items():
+            coeffs: Dict[Atom, Fraction] = {name: Fraction(1)}
+            for c, n in entries:
+                coeffs[n] = coeffs.get(n, Fraction(0)) - c
+            atoms.append(lin_atom(coeffs, EQ))
+        atoms.extend(from_comm(a) for a in self.atoms)
+        return elim.canonicalize(atoms)
+
+    @cached_property
+    def cone(self) -> list:
+        """Raises SignContradiction, uncached, when the cone is absurd."""
+        state = self._state
+        return mularith.to_positive_cone(state.defs_mult, self.atoms,
+                                         state.signs)
+
+
 # ---------------------------------------------------------------------------
 # Separation of input comparisons.
 # ---------------------------------------------------------------------------
@@ -341,31 +382,14 @@ def _pairs_of(names: Sequence[Atom]) -> list:
     return out
 
 
-def _lin_system(state: ProblemState):
-    if state._lin_cache_clock == state._clock and state._lin_cache is not None:
-        return state._lin_cache
-    atoms = []
-    for name, entries in state.defs_add.items():
-        coeffs: Dict[Atom, Fraction] = {name: Fraction(1)}
-        for c, n in entries:
-            coeffs[n] = coeffs.get(n, Fraction(0)) - c
-        atoms.append(lin_atom(coeffs, EQ))
-    for a in state.comm_atoms():
-        atoms.append(from_comm(a))
-    system = make_system(atoms)
-    state._lin_cache = system
-    state._lin_cache_clock = state._clock
-    return system
-
-
 def _sign_pass(state: ProblemState) -> bool:
     changed = False
-    atoms = state.comm_atoms()
-    premises = state.def_strings() + [str(a) for a in atoms]
+    snap = state.snapshot()
+    atoms, premises = snap.atoms, snap.premises
     try:
         new_env = mularith.infer_signs(state.defs_mult, atoms, state.signs)
     except SignContradiction as exc:
-        state._refute_now("mult", premises, f"sign inference: {exc}", tuple(atoms))
+        state._refute_now("mult", premises, f"sign inference: {exc}", atoms)
         return True
     for name, signs in new_env.items():
         if signs != state.signs.get(name):
@@ -373,7 +397,7 @@ def _sign_pass(state: ProblemState) -> bool:
             fact = mularith.sign_fact_atom(name, signs)
             if fact is not None:
                 changed |= state.assert_comm_atom(
-                    fact, "mult", premises, tuple(atoms),
+                    fact, "mult", premises, atoms,
                     note=f"sign of {name.label} is {mularith.SIGN_NAMES[signs]}")
     state.signs = new_env
     return changed
@@ -386,15 +410,13 @@ def _add_pass(state: ProblemState, force_all: bool) -> bool:
             return True
         if not force_all and not state._dirty("add", u, v):
             continue
-        system = _lin_system(state)
-        atoms = state.comm_atoms()
-        premises = state.def_strings() + [str(a) for a in atoms]
+        snap = state.snapshot()
         target_u, target_v = (v, u) if u is UNIT else (u, v)
-        derived = linarith.project_to_pair(system, target_u, target_v)
+        derived = linarith.project_to_pair(snap.system, target_u, target_v)
         state._mark_visited("add", u, v)
         for atom in derived:
-            changed |= state.assert_comm_atom(atom, "add", premises,
-                                              tuple(atoms))
+            changed |= state.assert_comm_atom(atom, "add", snap.premises,
+                                              snap.atoms)
     return changed
 
 
@@ -407,13 +429,12 @@ def _mult_pass(state: ProblemState, force_all: bool) -> bool:
             return True
         if not force_all and not state._dirty("mult", u, v):
             continue
-        atoms = state.comm_atoms()
-        premises = state.def_strings() + [str(a) for a in atoms]
+        snap = state.snapshot()
         try:
-            cone = mularith.to_positive_cone(state.defs_mult, atoms, state.signs)
+            cone = snap.cone
         except SignContradiction as exc:
-            state._refute_now("mult", premises, f"positive cone: {exc}",
-                              tuple(atoms))
+            state._refute_now("mult", snap.premises, f"positive cone: {exc}",
+                              snap.atoms)
             return True
         approx: list = []
         target_u, target_v = (v, UNIT) if u is UNIT else (u, v)
@@ -424,8 +445,8 @@ def _mult_pass(state: ProblemState, force_all: bool) -> bool:
         for atom in derived:
             note = "root bound approximated" if (not isinstance(atom, bool)
                                                  and atom in approx) else ""
-            changed |= state.assert_comm_atom(atom, "mult", premises,
-                                              tuple(atoms), note=note)
+            changed |= state.assert_comm_atom(atom, "mult", snap.premises,
+                                              snap.atoms, note=note)
     return changed
 
 

@@ -92,10 +92,6 @@ class CommAtom:
         return f"{self.lhs.label} {self.rel} {self.coeff} * {self.rhs.label}"
 
 
-#: Construction result for comparisons that collapse to a constant verdict.
-TRUE = True
-FALSE = False
-
 AtomOrBool = Union[CommAtom, bool]
 
 

@@ -1,0 +1,129 @@
+"""Fourier-Motzkin elimination, shared by the additive and multiplicative modules.
+
+Logarithms carry multiplication on positives to addition, so projecting the
+positive cone is the same algorithm as projecting a linear system.  Atoms of
+either kind read ``sum(coeff * name) REL bound-part`` with REL one of
+``< <= =`` and supply the parts that differ between the two groups:
+
+- ``coeffs``: ``(name, coefficient)`` pairs; ``rel``; ``sort_key``;
+- ``constant_truth()``: the truth value when no name occurs, else None;
+- ``coeff_of(name)``;
+- ``cancel(p, other, q, rel)``: a positive combination of this atom (in
+  which the name has coefficient ``p``) and ``other`` (coefficient ``q``)
+  in which the name cancels;
+- ``strength()``: ``(direction, strength)`` for an inequality with names,
+  where a larger strength is a stronger bound in that direction, or None.
+
+The reserved unit name is a constant of both groups and is never chosen for
+elimination by the drivers below.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+from typing import Iterable, Sequence
+
+from .comm import EQ, LE, LT, ResourceLimitError, UNIT
+
+#: Abort threshold for one system during elimination.
+ATOM_CAP = 5000
+
+_sort_key = attrgetter("sort_key")
+
+
+def canonicalize(atoms: Iterable) -> tuple:
+    """Deduplicate, drop trivially true atoms, sort deterministically."""
+    kept = {a: None for a in atoms if a.constant_truth() is not True}
+    return tuple(sorted(kept, key=_sort_key))
+
+
+def has_false_constant(system: Iterable) -> bool:
+    return any(a.constant_truth() is False for a in system)
+
+
+def drop_weaker(atoms: Iterable, cap: int = ATOM_CAP) -> tuple:
+    """Keep only the strongest inequality per direction; equalities and
+    constant atoms pass through.  Raises ResourceLimitError above ``cap``."""
+    best: dict = {}
+    kept = []
+    for a in atoms:
+        key = a.strength()
+        if key is None:
+            kept.append(a)
+            continue
+        direction, strength = key
+        prev = best.get(direction)
+        if prev is None or strength > prev[0]:
+            best[direction] = (strength, a)
+    system = canonicalize(kept + [a for _, a in best.values()])
+    if len(system) > cap:
+        raise ResourceLimitError(f"elimination system exceeded {cap} atoms")
+    return system
+
+
+def eliminate(system: Sequence, name, cap: int = ATOM_CAP) -> tuple:
+    """Exact projection of the system onto the names other than ``name``.
+
+    An equality mentioning the name is substituted into every other atom that
+    does; otherwise every lower bound is combined with every upper bound, and
+    a combination is strict when either parent is.
+    """
+    rest, equalities, lowers, uppers = [], [], [], []
+    for a in system:
+        c = a.coeff_of(name)
+        if c == 0:
+            rest.append(a)
+        elif a.rel == EQ:
+            equalities.append((a, c))
+        elif c > 0:
+            uppers.append((a, c))
+        else:
+            lowers.append((a, c))
+    if equalities:
+        eq, p = equalities[0]
+        rest += [a.cancel(c, eq, p, a.rel)
+                 for a, c in equalities[1:] + lowers + uppers]
+    else:
+        rest += [up.cancel(cu, low, cl,
+                           LT if LT in (low.rel, up.rel) else LE)
+                 for low, cl in lowers for up, cu in uppers]
+    return drop_weaker(rest, cap)
+
+
+def _fewest_occurring(system: Sequence, keep):
+    """The name to eliminate next: fewest occurrences, then lowest index."""
+    counts: dict = {}
+    for a in system:
+        for name, _ in a.coeffs:
+            if name not in keep and name is not UNIT:
+                counts[name] = counts.get(name, 0) + 1
+    return min(counts, key=lambda n: (counts[n], n.index), default=None)
+
+
+def eliminate_all_except(system: Iterable, keep: Iterable,
+                         cap: int = ATOM_CAP, step=eliminate) -> tuple:
+    """Project onto ``keep`` (plus the unit), fewest-occurrence order first.
+
+    ``step(system, name, cap)`` eliminates one name; a caller may pass a
+    memoized ``eliminate``.
+    """
+    keep = set(keep)
+    current = canonicalize(system)
+    while True:
+        target = _fewest_occurring(current, keep)
+        if target is None:
+            return current
+        current = step(current, target, cap)
+
+
+def is_infeasible(system: Sequence, cap: int = ATOM_CAP,
+                  step=eliminate) -> bool:
+    """Exact: true iff the system has no real solution.  Stops at the first
+    constant falsehood instead of eliminating every name."""
+    current = system
+    while not has_false_constant(current):
+        target = _fewest_occurring(current, ())
+        if target is None:
+            return False
+        current = step(current, target, cap)
+    return True

@@ -3,22 +3,24 @@
 Atoms have the sense ``sum of coeff*name REL 0`` with REL one of ``< <= =``.
 The reserved unit name carries the constant part and is never eliminated, so
 affine facts stay homogeneous; adding ``unit > 0`` makes pair projections
-exact for the scaled-comparison language.  Equalities are used for
-substitution before lower/upper bounds are cross-combined, and a combined
-atom is strict when either parent is.
+exact for the scaled-comparison language.  The elimination itself is the
+kernel in ``elim``, shared with the multiplicative module; this module
+supplies the linear atom, memoizes single-name eliminations, infeasibility
+and entailment checks, and reads pair projections back as comparisons.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from . import comm
-from .comm import EQ, GE, GT, LE, LT, CommAtom, ResourceLimitError, UNIT, make_atom
+from . import comm, elim
+from .comm import EQ, GE, GT, LE, LT, CommAtom, UNIT, make_atom
+from .elim import ATOM_CAP, canonicalize
 from .terms import Atom
 
-#: Abort threshold for one system during elimination.
-ATOM_CAP = 5000
+
+_ZERO = Fraction(0)
 
 
 class LinAtom:
@@ -51,9 +53,6 @@ class LinAtom:
                 return c
         return Fraction(0)
 
-    def names(self) -> tuple:
-        return tuple(a for a, _ in self.coeffs)
-
     def constant_truth(self) -> Optional[bool]:
         """Truth value if no name besides the unit occurs, else None."""
         value = Fraction(0)
@@ -62,6 +61,57 @@ class LinAtom:
                 return None
             value = c
         return comm.holds(value, self.rel, Fraction(0))
+
+    def strength(self):
+        """(direction, (bound, strict)) read as ``direction REL -bound``, with
+        the direction scaled to a unit lead; None for equalities and
+        constants."""
+        if self.rel == EQ:
+            return None
+        bound, var_part = _ZERO, []
+        for atom, c in self.coeffs:
+            if atom is UNIT:
+                bound = c
+            else:
+                var_part.append((atom, c))
+        if not var_part:
+            return None
+        lead = abs(var_part[0][1])
+        direction = tuple((atom, c / lead) for atom, c in var_part)
+        return direction, (bound / lead, self.rel == LT)
+
+    def cancel(self, p: Fraction, other: "LinAtom", q: Fraction,
+               rel: str) -> "LinAtom":
+        """``|q|*self - sign(q)*p*other``, merged over the sorted lists."""
+        ca, cb = (q, -p) if q > 0 else (-q, p)
+        items = []
+        left, right = self.coeffs, other.coeffs
+        i = j = 0
+        while i < len(left) and j < len(right):
+            la, lc = left[i]
+            ra, rc = right[j]
+            if la is ra or la == ra:
+                value = ca * lc + cb * rc
+                if value != 0:
+                    items.append((la, value))
+                i += 1
+                j += 1
+            elif la.index < ra.index:
+                items.append((la, ca * lc))
+                i += 1
+            else:
+                items.append((ra, cb * rc))
+                j += 1
+        for atom, c in left[i:]:
+            items.append((atom, ca * c))
+        for atom, c in right[j:]:
+            items.append((atom, cb * c))
+        if items:
+            lead = items[0][1]
+            scale = abs(lead) if rel != EQ else lead
+            if scale != 1:
+                items = [(atom, c / scale) for atom, c in items]
+        return LinAtom(tuple(items), rel)
 
     def __repr__(self) -> str:
         return f"LinAtom({self})"
@@ -103,106 +153,9 @@ def from_comm(atom: CommAtom) -> LinAtom:
     return made
 
 
-def make_system(atoms: Iterable[LinAtom]) -> tuple:
-    """Deduplicate, drop trivially true atoms, sort deterministically."""
-    kept = {}
-    for a in atoms:
-        truth = a.constant_truth()
-        if truth is True:
-            continue
-        kept[a] = None
-    return tuple(sorted(kept, key=_sort_key))
-
-
-def _sort_key(a: LinAtom):
-    return a.sort_key
-
-
-def _linear_combination(a: LinAtom, ca: Fraction, b: LinAtom, cb: Fraction,
-                        rel: str) -> LinAtom:
-    # Merge the two index-sorted coefficient lists directly.
-    items = []
-    left, right = a.coeffs, b.coeffs
-    i = j = 0
-    while i < len(left) and j < len(right):
-        la, lc = left[i]
-        ra, rc = right[j]
-        if la is ra or la == ra:
-            value = ca * lc + cb * rc
-            if value != 0:
-                items.append((la, value))
-            i += 1
-            j += 1
-        elif la.index < ra.index:
-            items.append((la, ca * lc))
-            i += 1
-        else:
-            items.append((ra, cb * rc))
-            j += 1
-    for atom, c in left[i:]:
-        items.append((atom, ca * c))
-    for atom, c in right[j:]:
-        items.append((atom, cb * c))
-    if items:
-        lead = items[0][1]
-        scale = abs(lead) if rel != EQ else lead
-        if scale != 1:
-            items = [(atom, c / scale) for atom, c in items]
-    return LinAtom(tuple(items), rel)
-
-
-def _substitute(target: LinAtom, eq: LinAtom, name: Atom) -> LinAtom:
-    cx = target.coeff_of(name)
-    if cx == 0:
-        return target
-    ex = eq.coeff_of(name)
-    return _linear_combination(target, Fraction(1), eq, -cx / ex, target.rel)
-
-
-def _drop_subsumed(system: Sequence[LinAtom]) -> tuple:
-    """Keep only the strongest bound per scaled direction vector."""
-    best: dict = {}
-    passthrough = []
-    order = []
-    for a in system:
-        if a.rel == EQ:
-            passthrough.append(a)
-            continue
-        var_part = tuple((atom, c) for atom, c in a.coeffs if atom is not UNIT)
-        if not var_part:
-            passthrough.append(a)  # constant verdicts stay visible
-            continue
-        lead = abs(var_part[0][1])
-        key = tuple((atom, c / lead) for atom, c in var_part)
-        bound = a.coeff_of(UNIT) / lead
-        prev = best.get(key)
-        # Constraint reads: key-combination REL -bound.  Larger bound is
-        # stronger; on a tie the strict atom wins.
-        if prev is None:
-            best[key] = (bound, a.rel == LT, a)
-            order.append(key)
-        else:
-            pb, pstrict, _ = prev
-            strict = a.rel == LT
-            if bound > pb or (bound == pb and strict and not pstrict):
-                best[key] = (bound, strict, a)
-    kept = passthrough + [best[k][2] for k in order]
-    return make_system(kept)
-
-
 _fm_memo: dict = {}
 _infeasible_memo: dict = {}
 _implies_memo: dict = {}
-
-
-def clear_caches() -> None:
-    _fm_memo.clear()
-    _infeasible_memo.clear()
-    _implies_memo.clear()
-
-
-def _as_key(system: Sequence[LinAtom]) -> tuple:
-    return system if isinstance(system, tuple) else tuple(system)
 
 
 def fm_eliminate(system: Sequence[LinAtom], name: Atom,
@@ -214,122 +167,34 @@ def fm_eliminate(system: Sequence[LinAtom], name: Atom,
     """
     if name is UNIT:
         raise ValueError("the unit name cannot be eliminated")
-    key = (_as_key(system), name, cap)
+    key = (tuple(system), name, cap)
     cached = _fm_memo.get(key)
     if cached is None:
         if len(_fm_memo) > 200_000:
             _fm_memo.clear()
-        cached = _fm_core(system, name, cap)
+        cached = elim.eliminate(key[0], name, cap)
         _fm_memo[key] = cached
     return cached
 
 
-def _fm_core(system: Sequence[LinAtom], name: Atom, cap: int) -> tuple:
-    rest = []
-    equalities = []
-    lowers = []
-    uppers = []
-    for a in system:
-        c = a.coeff_of(name)
-        if c == 0:
-            rest.append(a)
-        elif a.rel == EQ:
-            equalities.append(a)
-        elif c > 0:
-            uppers.append(a)
-        else:
-            lowers.append(a)
-    if name is UNIT:
-        # The unit is positive; make that explicit while projecting it away.
-        lowers.append(LinAtom(((UNIT, Fraction(-1)),), LT))
-    if equalities:
-        eq = equalities[0]
-        out = rest + [_substitute(a, eq, name)
-                      for a in equalities[1:] + lowers + uppers]
-        return _finish(out, cap)
-    out = list(rest)
-    for low in lowers:
-        cl = low.coeff_of(name)
-        for up in uppers:
-            cu = up.coeff_of(name)
-            rel = LT if (low.rel == LT or up.rel == LT) else LE
-            out.append(_linear_combination(up, -cl, low, cu, rel))
-    return _finish(out, cap)
-
-
-def _finish(atoms: Sequence[LinAtom], cap: int) -> tuple:
-    system = _drop_subsumed(make_system(atoms))
-    if len(system) > cap:
-        raise ResourceLimitError(f"linear system exceeded {cap} atoms")
-    return system
-
-
-def names_of(system: Sequence[LinAtom]) -> list:
-    seen: dict = {}
-    for a in system:
-        for atom, _ in a.coeffs:
-            if atom is not UNIT:
-                seen.setdefault(atom, None)
-    return list(seen)
-
-
-def eliminate_all_except(system: Sequence[LinAtom], keep: Iterable[Atom],
-                         cap: int = ATOM_CAP) -> tuple:
-    """Project onto ``keep`` (plus the unit), fewest-occurrence order first."""
-    keep_set = set(keep) | {UNIT}
-    current = make_system(system)
-    while True:
-        counts: dict = {}
-        for a in current:
-            for atom, _ in a.coeffs:
-                if atom not in keep_set:
-                    counts[atom] = counts.get(atom, 0) + 1
-        if not counts:
-            return current
-        target = min(counts, key=lambda atom: (counts[atom], atom.index))
-        current = fm_eliminate(current, target, cap)
-
-
-def has_false_constant(system: Sequence[LinAtom]) -> bool:
-    return any(a.constant_truth() is False for a in system)
-
-
 def is_infeasible(system: Sequence[LinAtom], cap: int = ATOM_CAP) -> bool:
     """Exact: true iff the system has no rational (equivalently real) solution."""
-    current = make_system(system)
+    current = canonicalize(system)
     key = (current, cap)
     cached = _infeasible_memo.get(key)
     if cached is not None:
         return cached
-    result = _is_infeasible_core(current, cap)
+    result = elim.is_infeasible(current, cap, step=fm_eliminate)
     if len(_infeasible_memo) > 200_000:
         _infeasible_memo.clear()
     _infeasible_memo[key] = result
     return result
 
 
-def _is_infeasible_core(current: tuple, cap: int) -> bool:
-    if has_false_constant(current):
-        return True
-    keep_set = {UNIT}
-    while True:
-        counts: dict = {}
-        for a in current:
-            for atom, _ in a.coeffs:
-                if atom not in keep_set:
-                    counts[atom] = counts.get(atom, 0) + 1
-        if not counts:
-            return has_false_constant(current)
-        target = min(counts, key=lambda atom: (counts[atom], atom.index))
-        current = fm_eliminate(current, target, cap)
-        if has_false_constant(current):
-            return True
-
-
 def implies(system: Sequence[LinAtom], atom: CommAtom,
             cap: int = ATOM_CAP) -> bool:
     """Entailment check: the negation of ``atom`` must be infeasible."""
-    base = make_system(system)
+    base = canonicalize(system)
     key = (base, atom, cap)
     cached = _implies_memo.get(key)
     if cached is not None:
@@ -350,6 +215,9 @@ def implies(system: Sequence[LinAtom], atom: CommAtom,
         _implies_memo.clear()
     _implies_memo[key] = result
     return result
+
+
+_UNIT_POSITIVE = LinAtom(((UNIT, Fraction(-1)),), LT)
 
 
 def _contradiction_pair(v: Atom) -> list:
@@ -441,9 +309,8 @@ def project_to_pair(system: Sequence[LinAtom], u: Atom, v: Atom,
     """
     if u is v:
         raise ValueError("projection needs two distinct names")
-    base = make_system(system)
-    reduced = eliminate_all_except(base, {u, v}, cap)
-    if has_false_constant(reduced) or is_infeasible(reduced, cap):
+    reduced = elim.eliminate_all_except(system, (u, v), cap, step=fm_eliminate)
+    if elim.has_false_constant(reduced) or is_infeasible(reduced, cap):
         return _contradiction_pair(v if v is not UNIT else u)
     collected: list = []
     if u is UNIT or v is UNIT:
@@ -453,7 +320,8 @@ def project_to_pair(system: Sequence[LinAtom], u: Atom, v: Atom,
             return _contradiction_pair(x)
         collected.extend(got)
     else:
-        pair_only = _fm_core(reduced, UNIT, cap)
+        # The unit is positive; make that explicit while projecting it away.
+        pair_only = elim.eliminate(reduced + (_UNIT_POSITIVE,), UNIT, cap)
         for source, names in ((pair_only, (u, v)),
                               (fm_eliminate(reduced, v, cap), (u, UNIT)),
                               (fm_eliminate(reduced, u, cap), (v, UNIT))):

@@ -5,10 +5,11 @@ refined monotonically and without case splits.  Quantities whose sign is
 pinned to strictly positive or strictly negative enter the positive cone as
 their magnitudes; everything else is left out rather than split on.  In the
 cone, facts are ``monomial REL bound`` with integer exponents and a strictly
-positive rational bound, and variable elimination mirrors Fourier-Motzkin
-through the group isomorphism between multiplication on positives and
-addition.  Roots demanded by the final bound are replaced by rationals
-rounded in the sound direction.
+positive rational bound.  Through the group isomorphism between
+multiplication on positives and addition, variable elimination is the
+Fourier-Motzkin kernel in ``elim`` that the additive module uses too.
+Roots demanded by the final bound are replaced by rationals rounded in the
+sound direction.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-from . import comm
+from . import comm, elim
 from .comm import (EQ, GE, GT, LE, LT, CommAtom, ResourceLimitError,
                    SignContradiction, UNIT, make_atom)
 from .terms import Atom
@@ -69,14 +70,6 @@ def sign_pow(s: frozenset, exp: int) -> frozenset:
     return frozenset(_class_pow(c, exp) for c in s)
 
 
-def sign_of_constant(q: Fraction) -> frozenset:
-    if q > 0:
-        return POS
-    if q < 0:
-        return NEG
-    return ZERO
-
-
 def sign_scale(s: frozenset, q: Fraction) -> frozenset:
     if q == 0:
         return ZERO
@@ -118,9 +111,6 @@ class SignEnv:
     def in_cone(self, name: Atom) -> bool:
         s = self.get(name)
         return s == POS or s == NEG
-
-    def flipped(self, name: Atom) -> bool:
-        return self.get(name) == NEG
 
 
 def sign_fact_atom(name: Atom, signs: frozenset) -> Optional[CommAtom]:
@@ -228,15 +218,19 @@ def _apply_comparison(atom: CommAtom, env: SignEnv) -> bool:
 
 
 class MultAtom:
-    """``product(name^exp) REL bound`` over strictly positive magnitudes."""
+    """``product(name^exp) REL bound`` over strictly positive magnitudes.
 
-    __slots__ = ("monomial", "rel", "bound", "_hash")
+    Under logarithms this is ``sum(exp * log name) REL log bound``, so the
+    exponents are the coefficients the shared elimination kernel works on.
+    """
 
-    def __init__(self, monomial: tuple, rel: str, bound: Fraction):
-        self.monomial = monomial  # ((Atom, int != 0), ...) by atom index
+    __slots__ = ("coeffs", "rel", "bound", "_hash")
+
+    def __init__(self, coeffs: tuple, rel: str, bound: Fraction):
+        self.coeffs = coeffs  # ((Atom, int exponent != 0), ...) by atom index
         self.rel = rel  # LT, LE, or EQ
         self.bound = bound  # > 0
-        self._hash = hash((monomial, rel, bound))
+        self._hash = hash((coeffs, rel, bound))
 
     def __hash__(self) -> int:
         return self._hash
@@ -246,30 +240,51 @@ class MultAtom:
             return True
         return (isinstance(other, MultAtom) and self._hash == other._hash
                 and self.rel == other.rel and self.bound == other.bound
-                and self.monomial == other.monomial)
+                and self.coeffs == other.coeffs)
 
     def __repr__(self) -> str:
         return f"MultAtom({self})"
 
-    def exponent_of(self, name: Atom) -> int:
-        for atom, e in self.monomial:
+    @property
+    def sort_key(self):
+        return (self.rel, tuple((a.index, e) for a, e in self.coeffs),
+                self.bound)
+
+    def coeff_of(self, name: Atom) -> int:
+        for atom, e in self.coeffs:
             if atom is name or atom == name:
                 return e
         return 0
 
-    def names(self) -> tuple:
-        return tuple(a for a, _ in self.monomial)
-
     def constant_truth(self) -> Optional[bool]:
-        if self.monomial:
+        if self.coeffs:
             return None
         return comm.holds(Fraction(1), self.rel, self.bound)
 
+    def strength(self):
+        """(monomial, (-bound, strict)); None for equalities and constants."""
+        if self.rel == EQ or not self.coeffs:
+            return None
+        return self.coeffs, (-self.bound, self.rel == LT)
+
+    def cancel(self, p: int, other: "MultAtom", q: int,
+               rel: str) -> "MultAtom":
+        """``self^ka * other^kb`` with ``(ka, kb) = (|q|, -sign(q)*p)/gcd``;
+        ka is positive so the relation direction survives."""
+        g = math.gcd(p, q)
+        ka, kb = abs(q) // g, (-p if q > 0 else p) // g
+        merged: Dict[Atom, int] = {}
+        for atom, e in self.coeffs:
+            merged[atom] = merged.get(atom, 0) + ka * e
+        for atom, e in other.coeffs:
+            merged[atom] = merged.get(atom, 0) + kb * e
+        return mult_atom(merged, rel, (self.bound ** ka) * (other.bound ** kb))
+
     def __str__(self) -> str:
-        if not self.monomial:
+        if not self.coeffs:
             return f"1 {self.rel} {self.bound}"
         body = " * ".join(a.label if e == 1 else f"{a.label}^{e}"
-                          for a, e in self.monomial)
+                          for a, e in self.coeffs)
         return f"{body} {self.rel} {self.bound}"
 
 
@@ -287,119 +302,6 @@ def mult_atom(monomial: Mapping[Atom, int], rel: str, bound) -> MultAtom:
         if abs(e) > EXP_CAP:
             raise ResourceLimitError(f"monomial exponent beyond {EXP_CAP}")
     return MultAtom(items, rel, bound)
-
-
-def _combine_mult(a: MultAtom, ka: int, b: MultAtom, kb: int, rel: str) -> MultAtom:
-    """a^ka * b^kb; ka must be positive so the relation direction survives."""
-    merged: Dict[Atom, int] = {}
-    for atom, e in a.monomial:
-        merged[atom] = merged.get(atom, 0) + ka * e
-    for atom, e in b.monomial:
-        merged[atom] = merged.get(atom, 0) + kb * e
-    return mult_atom(merged, rel, (a.bound ** ka) * (b.bound ** kb))
-
-
-def make_mult_system(atoms: Iterable[MultAtom]) -> tuple:
-    kept = {}
-    for a in atoms:
-        if a.constant_truth() is True:
-            continue
-        kept[a] = None
-    return tuple(sorted(kept, key=_mult_sort_key))
-
-
-def _mult_sort_key(a: MultAtom):
-    return (a.rel, tuple((atom.index, e) for atom, e in a.monomial), a.bound)
-
-
-def _drop_weaker(atoms: Sequence[MultAtom]) -> tuple:
-    best: dict = {}
-    passthrough = []
-    order = []
-    for a in atoms:
-        if a.rel == EQ or not a.monomial:
-            passthrough.append(a)
-            continue
-        key = a.monomial
-        prev = best.get(key)
-        if prev is None:
-            best[key] = a
-            order.append(key)
-        else:
-            stronger = (a.bound < prev.bound or
-                        (a.bound == prev.bound and a.rel == LT and prev.rel == LE))
-            if stronger:
-                best[key] = a
-    return make_mult_system(passthrough + [best[k] for k in order])
-
-
-def mult_eliminate(atoms: Sequence[MultAtom], name: Atom) -> tuple:
-    """Eliminate one positive quantity: substitution by an equation when one
-    mentions it, otherwise cross-powered lower/upper combinations."""
-    rest, equalities, lowers, uppers = [], [], [], []
-    for a in atoms:
-        e = a.exponent_of(name)
-        if e == 0:
-            rest.append(a)
-        elif a.rel == EQ:
-            equalities.append(a)
-        elif e > 0:
-            uppers.append(a)
-        else:
-            lowers.append(a)
-    if equalities:
-        eq = equalities[0]
-        p = eq.exponent_of(name)
-        out = list(rest)
-        for a in equalities[1:] + lowers + uppers:
-            q = a.exponent_of(name)
-            g = math.gcd(abs(p), abs(q))
-            ka = abs(p) // g
-            kb = -(q * ka) // p
-            out.append(_combine_mult(a, ka, eq, kb, a.rel))
-        return _drop_weaker(out)
-    out = list(rest)
-    for low in lowers:
-        pl = low.exponent_of(name)
-        for up in uppers:
-            pu = up.exponent_of(name)
-            g = math.gcd(-pl, pu)
-            rel = LT if (low.rel == LT or up.rel == LT) else LE
-            out.append(_combine_mult(up, (-pl) // g, low, pu // g, rel))
-    return _drop_weaker(out)
-
-
-def mult_names(atoms: Sequence[MultAtom]) -> list:
-    seen: dict = {}
-    for a in atoms:
-        for atom, _ in a.monomial:
-            seen.setdefault(atom, None)
-    return list(seen)
-
-
-def mult_eliminate_all_except(atoms: Sequence[MultAtom],
-                              keep: Iterable[Atom]) -> tuple:
-    keep_set = set(keep)
-    current = make_mult_system(atoms)
-    while True:
-        counts: dict = {}
-        for a in current:
-            for atom, _ in a.monomial:
-                if atom not in keep_set:
-                    counts[atom] = counts.get(atom, 0) + 1
-        if not counts:
-            return current
-        target = min(counts, key=lambda atom: (counts[atom], atom.index))
-        current = mult_eliminate(current, target)
-
-
-def mult_infeasible(atoms: Sequence[MultAtom]) -> bool:
-    """True when the cone facts alone are contradictory."""
-    current = make_mult_system(atoms)
-    if any(a.constant_truth() is False for a in current):
-        return True
-    current = mult_eliminate_all_except(current, ())
-    return any(a.constant_truth() is False for a in current)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +343,7 @@ def to_positive_cone(defs: Mapping[Atom, Mapping[Atom, int]],
             raise SignContradiction(ca.lhs, f"{ca} cannot hold in the cone")
         if translated is not None and translated is not True:
             atoms.append(translated)
-    return list(make_mult_system(atoms))
+    return list(elim.canonicalize(atoms))
 
 
 def _comparison_to_cone(atom: CommAtom, env: SignEnv):
@@ -616,17 +518,16 @@ def project_to_ratio(atoms: Sequence[MultAtom], u: Atom, v: Atom,
     sv = _signed_view(v, env)
     if su is None or sv is None:
         return []
-    system = list(make_mult_system(atoms))
+    system = list(atoms)
     if v is UNIT:
         target = u
         sigma_v = 1
-        reduced = mult_eliminate_all_except(system, {target})
     else:
         target = _RATIO
         sigma_v = sv
         system.append(mult_atom({_RATIO: 1, u: -1, v: 1}, EQ, Fraction(1)))
-        reduced = mult_eliminate_all_except(system, {target})
-    if any(a.constant_truth() is False for a in reduced):
+    reduced = elim.eliminate_all_except(system, {target})
+    if elim.has_false_constant(reduced):
         anchor = u if u is not UNIT else v
         low = make_atom(anchor, LT, Fraction(0), UNIT)
         high = make_atom(anchor, GT, Fraction(0), UNIT)
@@ -635,7 +536,7 @@ def project_to_ratio(atoms: Sequence[MultAtom], u: Atom, v: Atom,
     uppers: list = []  # (bound, root index, strict)
     lowers: list = []
     for a in reduced:
-        k = a.exponent_of(target)
+        k = a.coeff_of(target)
         if k == 0:
             continue
         if a.rel == EQ:

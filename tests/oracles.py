@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ineqprover import comm, linarith, mularith, terms
+from ineqprover import comm, elim, linarith, mularith, terms
 from ineqprover.comm import EQ, GT, LE, LT, UNIT
 from ineqprover.linarith import LinAtom
 from ineqprover.terms import (App, Div, Neg, One, Pow, Prod, RawTerm, Scale,
@@ -212,7 +212,7 @@ def random_lin_system(rng: random.Random, names, max_atoms: int = 6):
             combo[UNIT] = random_rational(rng)
         rel = rng.choice([LT, LE, LE, EQ])
         atoms.append(linarith.lin_atom(combo, rel))
-    return linarith.make_system(atoms)
+    return elim.canonicalize(atoms)
 
 
 def random_raw_term(rng: random.Random, names, depth: int = 3,
@@ -461,7 +461,7 @@ def _premises_contradictory(state, premises) -> bool:
         cone = mularith.to_positive_cone(state.defs_mult, premises, env)
     except comm.SignContradiction:
         return True
-    return mularith.mult_infeasible(cone)
+    return elim.is_infeasible(cone)
 
 
 def _mult_rederives(state, premises, atom) -> bool:
@@ -477,6 +477,6 @@ def _mult_rederives(state, premises, atom) -> bool:
             cone = mularith.to_positive_cone(state.defs_mult, extended, env)
         except comm.SignContradiction:
             continue
-        if not mularith.mult_infeasible(cone):
+        if not elim.is_infeasible(cone):
             return False
     return True

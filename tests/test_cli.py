@@ -1,6 +1,10 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from ineqprover import cli
 
@@ -152,3 +156,32 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2 * x"
+
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+# sha256 of the ``--json`` report of every corpus problem: a change to the
+# engine that alters any verdict, round count or trace byte fails here.
+GOLDEN_REPORTS = {
+    "motivating1": ("prove", "0f2317c8f69871111407ba39ba5f4c09"
+                             "c8ca692f054e8a36ffc765c87d1ed36b"),
+    "motivating2": ("prove", "f85bbad7929cf7ccde643e76d8312bf8"
+                             "7e5fd8126c262881a30df415c8c30963"),
+    "pnt": ("prove", "937a2f5ab6b9cd28d07140d3eb1dcd28"
+                     "1e4984c691a4569ebb2284706574fbfe"),
+    "powers": ("prove", "c58012e0cbcec93f42d731089c538114"
+                        "849b0fbb26e7deb57ab78815b7d6d72b"),
+    "square": ("prove", "4d03504aba635a3be2232df37e739c5d"
+                        "42aee152b0eb373629fc921b96048bea"),
+    "contrived": ("refute", "5da1d99327431f1d98bbb089e65f3686"
+                            "6a39cabf4baa4491ded2347586a1d75a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_json_report_matches_golden_hash(name, capsys, monkeypatch):
+    monkeypatch.delenv("INEQ_MAX_ROUNDS", raising=False)
+    monkeypatch.delenv("INEQ_ROOT_DENOM_BOUND", raising=False)
+    mode, digest = GOLDEN_REPORTS[name]
+    _, out, _ = run_cli(capsys, mode, str(PROBLEMS / f"{name}.prob"), "--json")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

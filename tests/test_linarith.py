@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from ineqprover import comm, linarith as L
+from ineqprover import comm, elim, linarith as L
 from ineqprover import terms as T
 from ineqprover.comm import EQ, GT, LE, LT, UNIT, make_atom
 
@@ -19,41 +19,41 @@ def _bank_vars(*names):
 
 def test_bounds_cross_combine():
     _, (a, x, b) = _bank_vars("a", "x", "b")
-    system = L.make_system([
+    system = elim.canonicalize([
         L.lin_atom({a: 1, x: -1}, LT),  # a < x
         L.lin_atom({x: 1, b: -1}, LT),  # x < b
     ])
-    out = L.fm_eliminate(system, x)
-    assert out == L.make_system([L.lin_atom({a: 1, b: -1}, LT)])
+    out = elim.eliminate(system, x)
+    assert out == elim.canonicalize([L.lin_atom({a: 1, b: -1}, LT)])
 
 
 def test_equality_substitutes_before_crossing():
     _, (a, x, b) = _bank_vars("a", "x", "b")
-    system = L.make_system([
+    system = elim.canonicalize([
         L.lin_atom({x: 1, a: -1}, EQ),  # x = a
         L.lin_atom({x: 1, b: -1}, LT),  # x < b
     ])
-    out = L.fm_eliminate(system, x)
-    assert out == L.make_system([L.lin_atom({a: 1, b: -1}, LT)])
+    out = elim.eliminate(system, x)
+    assert out == elim.canonicalize([L.lin_atom({a: 1, b: -1}, LT)])
 
 
 def test_eliminating_from_empty_system():
     _, (x,) = _bank_vars("x")
-    assert L.fm_eliminate((), x) == ()
+    assert elim.eliminate((), x) == ()
 
 
 def test_strictness_is_inherited():
     _, (a, x, b) = _bank_vars("a", "x", "b")
-    loose = L.make_system([
+    loose = elim.canonicalize([
         L.lin_atom({a: 1, x: -1}, LE),
         L.lin_atom({x: 1, b: -1}, LE),
     ])
-    assert L.fm_eliminate(loose, x)[0].rel == LE
-    mixed = L.make_system([
+    assert elim.eliminate(loose, x)[0].rel == LE
+    mixed = elim.canonicalize([
         L.lin_atom({a: 1, x: -1}, LE),
         L.lin_atom({x: 1, b: -1}, LT),
     ])
-    assert L.fm_eliminate(mixed, x)[0].rel == LT
+    assert elim.eliminate(mixed, x)[0].rel == LT
 
 
 # --- infeasibility against the independent oracle --------------------------------
@@ -100,7 +100,7 @@ def test_projection_is_sound():
         for name in names:
             assignment.setdefault(name, Q(0))
         target = names[rng.randrange(len(names))]
-        projected = L.fm_eliminate(system, target)
+        projected = elim.eliminate(system, target)
         assert all(oracles.check_lin_atom(a, assignment) for a in projected)
         checked += 1
 
@@ -114,7 +114,7 @@ def test_projection_is_complete_for_one_variable():
     while checked < 60:
         system = oracles.random_lin_system(rng, names, max_atoms=5)
         target = names[rng.randrange(len(names))]
-        projected = L.fm_eliminate(system, target)
+        projected = elim.eliminate(system, target)
         witness = oracles.oracle_witness(projected)
         if witness is None:
             continue
@@ -173,7 +173,7 @@ def test_projection_is_complete_for_one_variable():
 
 def test_pair_projection_keeps_the_strongest_half_planes():
     _, (u, v) = _bank_vars("u", "v")
-    system = L.make_system([
+    system = elim.canonicalize([
         L.lin_atom({v: 2, u: -1}, LT),   # u > 2v
         L.lin_atom({v: 3, u: -1}, LT),   # u > 3v
         L.lin_atom({v: -1}, LT),         # v > 0
@@ -185,7 +185,7 @@ def test_pair_projection_keeps_the_strongest_half_planes():
 
 def test_pair_projection_combines_inequalities():
     _, (u, v, w) = _bank_vars("u", "v", "w")
-    system = L.make_system([
+    system = elim.canonicalize([
         L.lin_atom({u: 1, v: -1, w: -1}, LE),  # u <= v + w
         L.lin_atom({w: 1, v: -1}, LE),         # w <= v
     ])
@@ -200,7 +200,7 @@ def test_pair_projection_of_empty_system_is_trivial():
 
 def test_pair_projection_reports_contradiction():
     _, (u, v) = _bank_vars("u", "v")
-    system = L.make_system([
+    system = elim.canonicalize([
         L.lin_atom({u: 1, v: -1}, LT),
         L.lin_atom({v: 1, u: -1}, LT),
     ])
@@ -210,19 +210,19 @@ def test_pair_projection_reports_contradiction():
 
 def test_pair_projection_detects_equalities():
     _, (u, v) = _bank_vars("u", "v")
-    system = L.make_system([L.lin_atom({u: 1, v: -2}, EQ)])
+    system = elim.canonicalize([L.lin_atom({u: 1, v: -2}, EQ)])
     assert L.project_to_pair(system, u, v) == [make_atom(u, EQ, 2, v)]
 
 
 def test_negative_coefficient_half_plane():
     _, (x, y) = _bank_vars("x", "y")
-    system = L.make_system([L.lin_atom({UNIT: 2, x: -1, y: -1}, LE)])
+    system = elim.canonicalize([L.lin_atom({UNIT: 2, x: -1, y: -1}, LE)])
     assert L.project_to_pair(system, x, y) == [make_atom(x, GT, -1, y)]
 
 
 def test_constant_bounds_emerge_from_unit_pair():
     _, (x, u) = _bank_vars("x", "u")
-    system = L.make_system([
+    system = elim.canonicalize([
         L.lin_atom({UNIT: 1, x: -2, u: 1}, LT),  # u < 2x - 1
         L.lin_atom({u: -1}, LE),                 # u >= 0
     ])
@@ -277,15 +277,15 @@ def test_atom_cap_aborts_with_resource_limit():
                  for n in rng.sample(names, 4)}
         combo[UNIT] = oracles.random_rational(rng)
         atoms.append(L.lin_atom(combo, LT))
-    with pytest.raises(L.ResourceLimitError):
-        L.eliminate_all_except(L.make_system(atoms), set(), cap=40)
+    with pytest.raises(comm.ResourceLimitError):
+        elim.eliminate_all_except(elim.canonicalize(atoms), set(), cap=40)
 
 
 def test_subsumed_scalar_multiples_are_dropped():
     _, (x, y) = _bank_vars("x", "y")
-    system = L.make_system([
+    system = elim.canonicalize([
         L.lin_atom({x: 1, y: -1, UNIT: -1}, LE),  # x - y <= 1
         L.lin_atom({x: 2, y: -2, UNIT: -6}, LE),  # x - y <= 3 (weaker)
     ])
-    reduced = L._drop_subsumed(system)
-    assert reduced == L.make_system([L.lin_atom({x: 1, y: -1, UNIT: -1}, LE)])
+    reduced = elim.drop_weaker(system)
+    assert reduced == elim.canonicalize([L.lin_atom({x: 1, y: -1, UNIT: -1}, LE)])

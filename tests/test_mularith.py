@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ineqprover import comm, mularith as M
+from ineqprover import comm, elim, mularith as M
 from ineqprover import terms as T
 from ineqprover.comm import EQ, GE, GT, LE, LT, UNIT, SignContradiction, make_atom
 
@@ -161,7 +161,7 @@ def test_chaining_through_a_middle_name():
     _, (x, v, w) = _bank_vars("x", "v", "w")
     atoms = [M.mult_atom({x: 1, v: -1}, LT, 1),   # x < v
              M.mult_atom({w: 1, x: -1}, LT, 1)]   # w < x
-    out = M.mult_eliminate(atoms, x)
+    out = elim.eliminate(atoms, x)
     assert out == (M.mult_atom({w: 1, v: -1}, LT, 1),)
 
 
@@ -169,13 +169,13 @@ def test_equation_substitution_squares_the_bound():
     _, (u, x) = _bank_vars("u", "x")
     atoms = [M.mult_atom({u: 1, x: -2}, EQ, 1),   # u = x^2
              M.mult_atom({x: 1}, LE, 3)]          # x <= 3
-    out = M.mult_eliminate(atoms, x)
+    out = elim.eliminate(atoms, x)
     assert out == (M.mult_atom({u: 1}, LE, 9),)
 
 
 def test_eliminating_from_nothing():
     _, (x,) = _bank_vars("x")
-    assert M.mult_eliminate([], x) == ()
+    assert elim.eliminate([], x) == ()
 
 
 def test_elimination_is_sound_on_positive_models():
@@ -194,9 +194,9 @@ def test_elimination_is_sound_on_positive_models():
             slack = Q(rng.randint(1, 3), rng.randint(1, 3))
             atoms.append(M.mult_atom(monomial, LE, value * (1 + slack)))
         target = rng.choice(names)
-        for out in M.mult_eliminate(atoms, target):
+        for out in elim.eliminate(atoms, target):
             value = Q(1)
-            for n, e in out.monomial:
+            for n, e in out.coeffs:
                 value *= assignment[n] ** e
             assert comm.holds(value, out.rel, out.bound)
 
@@ -208,7 +208,18 @@ def test_exponent_guard_trips():
     atoms = [M.mult_atom({x: 2 ** 15, y: -(2 ** 15) - 1}, LE, 1),
              M.mult_atom({x: -3, y: 1}, LE, 1)]
     with pytest.raises(comm.ResourceLimitError):
-        M.mult_eliminate(atoms, x)
+        elim.eliminate(atoms, x)
+
+
+def test_cone_elimination_respects_the_atom_cap():
+    bank = T.TermBank()
+    x = bank.var("x")
+    atoms = [M.mult_atom({x: -1, bank.var(f"y{i}"): 1}, LE, i + 1)
+             for i in range(80)]
+    atoms += [M.mult_atom({x: 1, bank.var(f"z{j}"): 1}, LE, j + 1)
+              for j in range(80)]
+    with pytest.raises(comm.ResourceLimitError):
+        elim.eliminate(atoms, x)
 
 
 # --- ratio projection -------------------------------------------------------------------
@@ -265,7 +276,7 @@ def test_ratio_bounds_are_entailed():
                 assert not isinstance(neg, bool)
                 extended = list(atoms) + list(
                     M.to_positive_cone({}, [neg], env))
-                assert M.mult_infeasible(extended), (atom, atoms)
+                assert elim.is_infeasible(extended), (atom, atoms)
         checked += 1
 
 
