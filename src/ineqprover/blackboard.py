@@ -262,12 +262,14 @@ class ProblemState:
 
 class Snapshot:
     """What the passes read off one version of the blackboard: the table's
-    atoms, the premise strings every derived step cites, and, built on first
-    use, the linear system and the positive cone."""
+    atoms, the premise strings every derived step cites, the memo of the
+    additive pass's eliminations, and, built on first use, the linear system
+    and the positive cone."""
 
     def __init__(self, state: ProblemState):
         self._state = state
         self.clock = state._clock
+        self.memo: dict = {}
         self.atoms = tuple(state.comm_atoms())
         self.premises = tuple(state.def_strings()) + tuple(
             str(a) for a in self.atoms)
@@ -412,7 +414,8 @@ def _add_pass(state: ProblemState, force_all: bool) -> bool:
             continue
         snap = state.snapshot()
         target_u, target_v = (v, u) if u is UNIT else (u, v)
-        derived = linarith.project_to_pair(snap.system, target_u, target_v)
+        derived = linarith.project_to_pair(snap.system, target_u, target_v,
+                                           memo=snap.memo)
         state._mark_visited("add", u, v)
         for atom in derived:
             changed |= state.assert_comm_atom(atom, "add", snap.premises,

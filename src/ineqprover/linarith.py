@@ -3,15 +3,19 @@
 Atoms have the sense ``sum of coeff*name REL 0`` with REL one of ``< <= =``.
 The reserved unit name carries the constant part and is never eliminated, so
 affine facts stay homogeneous; adding ``unit > 0`` makes pair projections
-exact for the scaled-comparison language.  The elimination itself is the
-kernel in ``elim``, shared with the multiplicative module; this module
-supplies the linear atom, memoizes single-name eliminations, infeasibility
-and entailment checks, and reads pair projections back as comparisons.
+exact for the scaled-comparison language.  Rows hold primitive integer
+coefficients, so combining two rows is integer arithmetic plus one gcd.  The
+elimination itself is the kernel in ``elim``, shared with the multiplicative
+module; this module supplies the linear atom, infeasibility and entailment
+checks, and reads pair projections back as comparisons.  Single-name
+eliminations are memoized in a dict the caller passes in and owns; the
+blackboard keeps one per table version.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from . import comm, elim
@@ -20,23 +24,32 @@ from .elim import ATOM_CAP, canonicalize
 from .terms import Atom
 
 
-_ZERO = Fraction(0)
-
-
 class LinAtom:
-    """``sum(coeff * name) REL 0`` with coefficients sorted by name index.
+    """``sum(coeff * name) REL 0`` as a primitive integer row.
 
-    Immutable; the hash and the deterministic sort key are precomputed so
-    that memo tables and system ordering stay cheap.
+    Coefficients are sorted by name index and have gcd 1, the unit's
+    included, and an equality's lead coefficient is positive, so equal atoms
+    have equal rows.  Immutable; the hash, the strength and the constant
+    truth value are computed once here, the sort key on first use.
     """
 
-    __slots__ = ("coeffs", "rel", "sort_key", "_hash")
+    __slots__ = ("coeffs", "rel", "_hash", "_strength", "_truth", "_sort_key")
 
     def __init__(self, coeffs: tuple, rel: str):
-        self.coeffs = coeffs  # ((Atom, Fraction != 0), ...) by atom index
+        self.coeffs = coeffs  # ((Atom, int != 0), ...) by atom index, gcd 1
         self.rel = rel  # LT, LE, or EQ
-        self.sort_key = (rel, tuple((a.index, c) for a, c in coeffs))
         self._hash = hash((coeffs, rel))
+        self._sort_key = None
+        unit, names = 0, coeffs
+        if coeffs and coeffs[0][0] is UNIT:
+            unit, names = coeffs[0][1], coeffs[1:]
+        self._truth = None if names else comm.holds(unit, rel, 0)
+        self._strength = None
+        if names and rel != EQ:
+            g = gcd(*[c for _, c in names])
+            if g != 1:
+                names = tuple((atom, c // g) for atom, c in names)
+            self._strength = (names, (Fraction(unit, g), rel == LT))
 
     def __hash__(self) -> int:
         return self._hash
@@ -47,40 +60,37 @@ class LinAtom:
         return (isinstance(other, LinAtom) and self._hash == other._hash
                 and self.rel == other.rel and self.coeffs == other.coeffs)
 
-    def coeff_of(self, name: Atom) -> Fraction:
+    @property
+    def sort_key(self) -> tuple:
+        """``(rel, ((index, c / |lead|), ...))``: the order of rows scaled to
+        a unit lead.  Elimination order, and through it every report, follows
+        this order."""
+        key = self._sort_key
+        if key is None:
+            lead = abs(self.coeffs[0][1]) if self.coeffs else 1
+            # Integral quotients stay ints: they compare faster, same order.
+            key = self._sort_key = (self.rel, tuple(
+                (atom.index, c // lead if c % lead == 0 else Fraction(c, lead))
+                for atom, c in self.coeffs))
+        return key
+
+    def coeff_of(self, name: Atom) -> int:
         for atom, c in self.coeffs:
-            if atom is name or atom == name:
+            if atom is name:  # names are interned: equal means identical
                 return c
-        return Fraction(0)
+        return 0
 
     def constant_truth(self) -> Optional[bool]:
         """Truth value if no name besides the unit occurs, else None."""
-        value = Fraction(0)
-        for atom, c in self.coeffs:
-            if atom is not UNIT:
-                return None
-            value = c
-        return comm.holds(value, self.rel, Fraction(0))
+        return self._truth
 
     def strength(self):
         """(direction, (bound, strict)) read as ``direction REL -bound``, with
-        the direction scaled to a unit lead; None for equalities and
+        the direction a primitive integer row; None for equalities and
         constants."""
-        if self.rel == EQ:
-            return None
-        bound, var_part = _ZERO, []
-        for atom, c in self.coeffs:
-            if atom is UNIT:
-                bound = c
-            else:
-                var_part.append((atom, c))
-        if not var_part:
-            return None
-        lead = abs(var_part[0][1])
-        direction = tuple((atom, c / lead) for atom, c in var_part)
-        return direction, (bound / lead, self.rel == LT)
+        return self._strength
 
-    def cancel(self, p: Fraction, other: "LinAtom", q: Fraction,
+    def cancel(self, p: int, other: "LinAtom", q: int,
                rel: str) -> "LinAtom":
         """``|q|*self - sign(q)*p*other``, merged over the sorted lists."""
         ca, cb = (q, -p) if q > 0 else (-q, p)
@@ -90,7 +100,7 @@ class LinAtom:
         while i < len(left) and j < len(right):
             la, lc = left[i]
             ra, rc = right[j]
-            if la is ra or la == ra:
+            if la is ra:
                 value = ca * lc + cb * rc
                 if value != 0:
                     items.append((la, value))
@@ -106,12 +116,7 @@ class LinAtom:
             items.append((atom, ca * c))
         for atom, c in right[j:]:
             items.append((atom, cb * c))
-        if items:
-            lead = items[0][1]
-            scale = abs(lead) if rel != EQ else lead
-            if scale != 1:
-                items = [(atom, c / scale) for atom, c in items]
-        return LinAtom(tuple(items), rel)
+        return _primitive(items, rel)
 
     def __repr__(self) -> str:
         return f"LinAtom({self})"
@@ -123,17 +128,27 @@ class LinAtom:
         return f"{parts} {self.rel} 0"
 
 
+def _primitive(items: list, rel: str) -> LinAtom:
+    """The atom of an integer row: divided by the gcd of its coefficients,
+    and by its lead's sign too for an equality."""
+    if items:
+        g = gcd(*[c for _, c in items])
+        if rel == EQ and items[0][1] < 0:
+            g = -g
+        if g != 1:
+            items = [(atom, c // g) for atom, c in items]
+    return LinAtom(tuple(items), rel)
+
+
 def lin_atom(coeffs: dict, rel: str) -> LinAtom:
-    """Build a canonical atom: zero coefficients dropped, scaled to lead 1."""
+    """Build a canonical atom from rational coefficients; zeros are dropped."""
     if rel not in (LT, LE, EQ):
         raise ValueError(f"linear atoms use < <= =, got {rel!r}")
     items = sorted(((a, Fraction(c)) for a, c in coeffs.items() if c != 0),
                    key=lambda kv: kv[0].index)
-    if items:
-        lead = items[0][1]
-        scale = abs(lead) if rel != EQ else lead
-        items = [(a, c / scale) for a, c in items]
-    return LinAtom(tuple(items), rel)
+    den = lcm(*[c.denominator for _, c in items])
+    return _primitive([(a, c.numerator * (den // c.denominator))
+                       for a, c in items], rel)
 
 
 _from_comm_memo: dict = {}
@@ -153,71 +168,49 @@ def from_comm(atom: CommAtom) -> LinAtom:
     return made
 
 
-_fm_memo: dict = {}
-_infeasible_memo: dict = {}
-_implies_memo: dict = {}
-
-
 def fm_eliminate(system: Sequence[LinAtom], name: Atom,
-                 cap: int = ATOM_CAP) -> tuple:
+                 cap: int = ATOM_CAP, memo: Optional[dict] = None) -> tuple:
     """Exact projection of the system onto the names other than ``name``.
 
-    Memoized: elimination chains that share a prefix (as the all-pairs sweep
-    does) reuse each other's work.
+    With a ``memo`` dict, elimination chains that share a prefix (as the
+    all-pairs sweep does) reuse each other's work.
     """
     if name is UNIT:
         raise ValueError("the unit name cannot be eliminated")
+    if memo is None:
+        return elim.eliminate(tuple(system), name, cap)
     key = (tuple(system), name, cap)
-    cached = _fm_memo.get(key)
+    cached = memo.get(key)
     if cached is None:
-        if len(_fm_memo) > 200_000:
-            _fm_memo.clear()
-        cached = elim.eliminate(key[0], name, cap)
-        _fm_memo[key] = cached
+        cached = memo[key] = elim.eliminate(key[0], name, cap)
     return cached
 
 
-def is_infeasible(system: Sequence[LinAtom], cap: int = ATOM_CAP) -> bool:
+def _step(memo: Optional[dict]):
+    """The ``elim`` step: one elimination through ``fm_eliminate``."""
+    return lambda system, name, cap: fm_eliminate(system, name, cap, memo)
+
+
+def is_infeasible(system: Sequence[LinAtom], cap: int = ATOM_CAP,
+                  memo: Optional[dict] = None) -> bool:
     """Exact: true iff the system has no rational (equivalently real) solution."""
-    current = canonicalize(system)
-    key = (current, cap)
-    cached = _infeasible_memo.get(key)
-    if cached is not None:
-        return cached
-    result = elim.is_infeasible(current, cap, step=fm_eliminate)
-    if len(_infeasible_memo) > 200_000:
-        _infeasible_memo.clear()
-    _infeasible_memo[key] = result
-    return result
+    return elim.is_infeasible(canonicalize(system), cap, step=_step(memo))
 
 
 def implies(system: Sequence[LinAtom], atom: CommAtom,
-            cap: int = ATOM_CAP) -> bool:
+            cap: int = ATOM_CAP, memo: Optional[dict] = None) -> bool:
     """Entailment check: the negation of ``atom`` must be infeasible."""
     base = canonicalize(system)
-    key = (base, atom, cap)
-    cached = _implies_memo.get(key)
-    if cached is not None:
-        return cached
-    result = True
     for disjunct in comm.negations(atom):
         if disjunct is False:
             continue
-        if disjunct is True:
-            if not is_infeasible(base, cap):
-                result = False
-                break
-            continue
-        if not is_infeasible(base + (from_comm(disjunct),), cap):
-            result = False
-            break
-    if len(_implies_memo) > 200_000:
-        _implies_memo.clear()
-    _implies_memo[key] = result
-    return result
+        extended = base if disjunct is True else base + (from_comm(disjunct),)
+        if not is_infeasible(extended, cap, memo):
+            return False
+    return True
 
 
-_UNIT_POSITIVE = LinAtom(((UNIT, Fraction(-1)),), LT)
+_UNIT_POSITIVE = lin_atom({UNIT: -1}, LT)
 
 
 def _contradiction_pair(v: Atom) -> list:
@@ -242,9 +235,9 @@ def _atoms_from_two_names(system: Sequence[LinAtom], u: Atom, v: Atom) -> list:
             made = make_atom(v, a.rel, Fraction(0), UNIT) if beta > 0 else \
                 make_atom(v, comm.mirror(a.rel), Fraction(0), UNIT)
         elif alpha > 0:
-            made = make_atom(u, a.rel, -beta / alpha, v)
+            made = make_atom(u, a.rel, Fraction(-beta, alpha), v)
         else:
-            made = make_atom(u, comm.mirror(a.rel), -beta / alpha, v)
+            made = make_atom(u, comm.mirror(a.rel), Fraction(-beta, alpha), v)
         if made is False:
             return None  # the projected system contains a falsehood
         if made is not True:
@@ -281,7 +274,7 @@ def _merge_equalities(atoms: list) -> list:
     return result
 
 
-def _prune_entailed(atoms: list, cap: int) -> list:
+def _prune_entailed(atoms: list, cap: int, memo: Optional[dict]) -> list:
     """Drop atoms implied by the remaining ones, in one deterministic pass.
 
     Each drop is justified by atoms that either survive or are dropped later
@@ -292,7 +285,7 @@ def _prune_entailed(atoms: list, cap: int) -> list:
     while i < len(kept):
         others = kept[:i] + kept[i + 1:]
         context = [from_comm(b) for b in others]
-        if implies(context, kept[i], cap):
+        if implies(context, kept[i], cap, memo):
             kept.pop(i)
         else:
             i += 1
@@ -300,17 +293,19 @@ def _prune_entailed(atoms: list, cap: int) -> list:
 
 
 def project_to_pair(system: Sequence[LinAtom], u: Atom, v: Atom,
-                    cap: int = ATOM_CAP) -> list:
+                    cap: int = ATOM_CAP, memo: Optional[dict] = None) -> list:
     """Strongest comparison atoms between u and v entailed by the system.
 
     Returns at most two scaled half-planes relating u and v plus at most two
     constant bounds for each of them; an infeasible system yields the
-    canonical contradictory pair.
+    canonical contradictory pair.  ``memo`` is passed to every
+    elimination, so it may be shared by projections of one system.
     """
     if u is v:
         raise ValueError("projection needs two distinct names")
-    reduced = elim.eliminate_all_except(system, (u, v), cap, step=fm_eliminate)
-    if elim.has_false_constant(reduced) or is_infeasible(reduced, cap):
+    step = _step(memo)
+    reduced = elim.eliminate_all_except(system, (u, v), cap, step=step)
+    if elim.has_false_constant(reduced) or is_infeasible(reduced, cap, memo):
         return _contradiction_pair(v if v is not UNIT else u)
     collected: list = []
     if u is UNIT or v is UNIT:
@@ -323,11 +318,11 @@ def project_to_pair(system: Sequence[LinAtom], u: Atom, v: Atom,
         # The unit is positive; make that explicit while projecting it away.
         pair_only = elim.eliminate(reduced + (_UNIT_POSITIVE,), UNIT, cap)
         for source, names in ((pair_only, (u, v)),
-                              (fm_eliminate(reduced, v, cap), (u, UNIT)),
-                              (fm_eliminate(reduced, u, cap), (v, UNIT))):
+                              (step(reduced, v, cap), (u, UNIT)),
+                              (step(reduced, u, cap), (v, UNIT))):
             got = _atoms_from_two_names(source, *names)
             if got is None:
                 return _contradiction_pair(v)
             collected.extend(got)
     merged = _merge_equalities(collected)
-    return _prune_entailed(merged, cap)
+    return _prune_entailed(merged, cap, memo)

@@ -59,16 +59,19 @@ def eps_is_zero(x: Eps) -> bool:
 
 
 def affine_rows(system: Sequence[LinAtom]):
-    """(coeff map without the unit, constant, rel) triples, unit set to 1."""
+    """(coeff map without the unit, constant, rel) triples, unit set to 1.
+
+    Coefficients come back as Fractions whatever the atom stores, so the
+    Gaussian elimination below divides exactly."""
     rows = []
     for atom in system:
         combo = {}
         const = Q(0)
         for name, c in atom.coeffs:
             if name is UNIT:
-                const = c
+                const = Q(c)
             else:
-                combo[name] = c
+                combo[name] = Q(c)
         rows.append((combo, const, atom.rel))
     return rows
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -339,7 +340,7 @@ def test_resource_limit_is_a_verdict():
     from ineqprover import linarith
     original = linarith.ATOM_CAP
 
-    def tiny_project(system, a, b, cap=linarith.ATOM_CAP):
+    def tiny_project(system, a, b, cap=linarith.ATOM_CAP, memo=None):
         raise comm.ResourceLimitError("forced")
 
     real = linarith.project_to_pair
@@ -350,3 +351,20 @@ def test_resource_limit_is_a_verdict():
         linarith.project_to_pair = real
     assert verdict.kind == B.RESOURCE_LIMIT
     assert original == linarith.ATOM_CAP
+
+
+def test_elimination_memo_lives_one_table_version(capsys, monkeypatch):
+    from ineqprover import cli, linarith
+    monkeypatch.delenv("INEQ_MAX_ROUNDS", raising=False)
+    monkeypatch.delenv("INEQ_ROOT_DENOM_BOUND", raising=False)
+    path = Path(__file__).resolve().parent.parent / "problems" / "square.prob"
+    reports = []
+    for _ in range(2):
+        cli.main(["prove", str(path), "--json"])
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    # Only the translation memo may outlive a solve.
+    held = [name for name, value in vars(linarith).items()
+            if isinstance(value, dict) and value and not name.startswith("__")
+            and name != "_from_comm_memo"]
+    assert held == []

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -151,9 +152,13 @@ def test_environment_overrides_defaults(tmp_path, capsys, monkeypatch):
 
 
 def test_console_entry_point_runs():
+    # The child does not see pytest's pythonpath setting; give it src/.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "ineqprover.cli", "normalize", "x + x"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2 * x"
 

@@ -289,3 +289,48 @@ def test_subsumed_scalar_multiples_are_dropped():
     ])
     reduced = elim.drop_weaker(system)
     assert reduced == elim.canonicalize([L.lin_atom({x: 1, y: -1, UNIT: -1}, LE)])
+
+
+# --- integer rows ----------------------------------------------------------------
+
+def test_rows_are_primitive_integers():
+    _, (x, y) = _bank_vars("x", "y")
+    assert L.lin_atom({x: Q(1, 2), y: Q(-3, 4)}, LT).coeffs == ((x, 2), (y, -3))
+    assert L.lin_atom({UNIT: -6, x: 2}, LT).coeffs == ((UNIT, -3), (x, 1))
+    # An equality may be scaled by a negative number, so its lead is positive.
+    eq = L.lin_atom({UNIT: -6, x: 2, y: -4}, EQ)
+    assert eq.coeffs == ((UNIT, 3), (x, -1), (y, 2))
+    assert eq == L.lin_atom({UNIT: Q(1, 2), x: Q(-1, 6), y: Q(1, 3)}, EQ)
+    # The direction is primitive over the names alone; the bound follows it.
+    loose = L.lin_atom({UNIT: 3, x: 2, y: -4}, LE)
+    assert loose.strength() == (((x, 1), (y, -2)), (Q(3, 2), False))
+
+
+def _lead_scaled_key(combo, rel):
+    """Sort key of the rational row scaled so that its lead is 1 (or -1)."""
+    items = sorted(((a, Q(c)) for a, c in combo.items() if c != 0),
+                   key=lambda kv: kv[0].index)
+    scale = items[0][1] if rel == EQ else abs(items[0][1])
+    return (rel, tuple((a.index, c / scale) for a, c in items))
+
+
+def test_sort_key_orders_like_lead_scaled_rationals():
+    rng = random.Random(2024)
+    _, names = _bank_vars("a", "b", "c")
+    names = [UNIT] + names
+    atoms, reference = [], {}
+    for _ in range(400):
+        combo = {n: Q(rng.randint(-4, 4), rng.randint(1, 3))
+                 for n in rng.sample(names, rng.randint(1, 4))}
+        if not any(combo.values()):
+            continue
+        rel = rng.choice((LT, LE, EQ))
+        atom = L.lin_atom(combo, rel)
+        assert atom.sort_key == _lead_scaled_key(combo, rel)
+        atoms.append(atom)
+        reference[atom] = _lead_scaled_key(combo, rel)
+    by_key = sorted(atoms, key=lambda a: a.sort_key)
+    assert by_key == sorted(atoms, key=reference.__getitem__)
+    assert elim.canonicalize(atoms) == tuple(
+        sorted(set(a for a in atoms if a.constant_truth() is not True),
+               key=reference.__getitem__))
