@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from . import comm, elim, linarith, monofun, mularith, terms
 from .comm import (EQ, GE, GT, LE, LT, CommAtom, ResourceLimitError,
@@ -171,15 +171,6 @@ class ProblemState:
         key = (u, v) if u.index <= v.index else (v, u)
         return list(self.pairs.get(key, ()))
 
-    def _pair_context(self, key: tuple) -> list:
-        ctx = list(self.pairs.get(key, ()))
-        for name in key:
-            if name is not UNIT:
-                unit_key = (UNIT, name)
-                if unit_key != key:
-                    ctx.extend(self.pairs.get(unit_key, ()))
-        return ctx
-
     def def_strings(self) -> list:
         out = []
         for name, pre in self._defined.items():
@@ -221,40 +212,23 @@ class ProblemState:
                              comm_premises)
             return True
         key = comm.pair_key(atom)
-        context = self._pair_context(key)
-        lin_context = [from_comm(a) for a in context]
-        if linarith.implies(lin_context, atom):
+        residents = self.pairs.get(key, [])
+        # The constant bounds on the pair's names complete its context.
+        bounds = [b for name in key if name is not UNIT and (UNIT, name) != key
+                  for b in self.pairs.get((UNIT, name), ())]
+        context = [from_comm(a) for a in residents + bounds]
+        if linarith.implies(context, atom):
             return False
-        residents = list(self.pairs.get(key, ()))
-        residents.append(atom)
         self._record(module, premises, str(atom), note, comm_premises, atom)
-        if linarith.is_infeasible(lin_context + [from_comm(atom)]):
-            conflict = [str(a) for a in context + [atom]]
-            self._refute_now(module, conflict, "comparison table inconsistent",
-                             tuple(context + [atom]))
-            self.pairs[key] = residents
-            self._touch(atom.lhs)
-            self._touch(atom.rhs)
-            return True
-        # Drop residents the rest of the table now implies, one at a time so
-        # the surviving set always implies everything that was removed.
-        kept = residents
-        i = 0
-        while i < len(kept):
-            candidate = kept[i]
-            if candidate is atom:
-                i += 1
-                continue
-            ctx = [from_comm(a) for a in kept if a is not candidate]
-            for name in key:
-                if name is not UNIT and (UNIT, name) != key:
-                    ctx.extend(from_comm(a)
-                               for a in self.pairs.get((UNIT, name), ()))
-            if linarith.implies(ctx, candidate):
-                kept = kept[:i] + kept[i + 1:]
-            else:
-                i += 1
-        self.pairs[key] = kept
+        if linarith.is_infeasible(context + [from_comm(atom)]):
+            conflict = residents + bounds + [atom]
+            self._refute_now(module, [str(a) for a in conflict],
+                             "comparison table inconsistent", tuple(conflict))
+            self.pairs[key] = residents + [atom]
+        else:
+            # Residents the rest of the pair's context now implies go.
+            self.pairs[key] = linarith.prune_entailed(
+                residents + [atom], bounds, keep=atom)
         self._touch(atom.lhs)
         self._touch(atom.rhs)
         return True
@@ -351,29 +325,13 @@ def _comparison_atom(state: ProblemState, left: NormalTerm, rel: str,
 # ---------------------------------------------------------------------------
 
 
-def _live_names_add(state: ProblemState) -> list:
-    seen: dict = {UNIT: None}
-    for name, entries in state.defs_add.items():
-        seen.setdefault(name, None)
-        for _, n in entries:
-            seen.setdefault(n, None)
-    for atom in state.comm_atoms():
-        seen.setdefault(atom.lhs, None)
-        seen.setdefault(atom.rhs, None)
+def _live_names(snap: Snapshot, defined: Iterable[Atom]) -> list:
+    """The defined names and every name in the table, sorted by index."""
+    seen = set(defined)
+    for atom in snap.atoms:
+        seen.add(atom.lhs)
+        seen.add(atom.rhs)
     return sorted(seen, key=lambda a: a.index)
-
-
-def _live_names_mult(state: ProblemState) -> list:
-    seen: dict = {}
-    for name, monomial in state.defs_mult.items():
-        seen.setdefault(name, None)
-        for n in monomial:
-            seen.setdefault(n, None)
-    for atom in state.comm_atoms():
-        seen.setdefault(atom.lhs, None)
-        seen.setdefault(atom.rhs, None)
-    cone = [n for n in seen if n is not UNIT and state.signs.in_cone(n)]
-    return sorted(cone, key=lambda a: a.index)
 
 
 def _pairs_of(names: Sequence[Atom]) -> list:
@@ -407,7 +365,10 @@ def _sign_pass(state: ProblemState) -> bool:
 
 def _add_pass(state: ProblemState, force_all: bool) -> bool:
     changed = False
-    for u, v in _pairs_of(_live_names_add(state)):
+    defined = [UNIT, *state.defs_add]
+    for entries in state.defs_add.values():
+        defined.extend(n for _, n in entries)
+    for u, v in _pairs_of(_live_names(state.snapshot(), defined)):
         if state.refuted:
             return True
         if not force_all and not state._dirty("add", u, v):
@@ -425,7 +386,11 @@ def _add_pass(state: ProblemState, force_all: bool) -> bool:
 
 def _mult_pass(state: ProblemState, force_all: bool) -> bool:
     changed = False
-    names = _live_names_mult(state)
+    defined = [*state.defs_mult]
+    for monomial in state.defs_mult.values():
+        defined.extend(monomial)
+    names = [n for n in _live_names(state.snapshot(), defined)
+             if n is not UNIT and state.signs.in_cone(n)]
     pair_list = _pairs_of(names) + [(UNIT, n) for n in names]
     for u, v in pair_list:
         if state.refuted:
@@ -458,7 +423,7 @@ def _mono_pass(state: ProblemState) -> bool:
         return False
     changed = False
     facts = monofun.derive_mono_facts(state.decls, state.apps,
-                                      state.comm_atoms())
+                                      state.snapshot().atoms)
     for atom, premise_atoms, note in facts:
         if state.refuted:
             return True

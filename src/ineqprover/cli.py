@@ -83,15 +83,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(flag: Optional[int], file_option: Optional[int], env_name: str,
-             fallback: int) -> int:
+def _resolve(option: str, args, problem: ProblemFile, fallback: int) -> int:
+    """The value of ``--option``: the flag, else the problem file's option
+    line, else ``INEQ_OPTION`` in the environment, else ``fallback``."""
+    flag = getattr(args, option.replace("-", "_"))
     if flag is not None:
         if flag <= 0:
-            raise SystemExit(f"error: {env_name.lower()} must be positive")
+            raise SystemExit(f"error: --{option} must be positive")
         return flag
-    if file_option is not None:
-        return file_option
-    return _env_int(env_name, fallback)
+    if option in problem.options:
+        return problem.options[option]
+    return _env_int("INEQ_" + option.upper().replace("-", "_"), fallback)
 
 
 def _load_problem(path: str) -> ProblemFile:
@@ -129,11 +131,9 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command in ("prove", "refute"):
             problem = _load_problem(args.file)
-            cap = _resolve(args.max_rounds, problem.options.get("max-rounds"),
-                           "INEQ_MAX_ROUNDS", DEFAULT_MAX_ROUNDS)
-            denom = _resolve(args.root_denom_bound,
-                             problem.options.get("root-denom-bound"),
-                             "INEQ_ROOT_DENOM_BOUND", ROOT_DENOM_BOUND)
+            cap = _resolve("max-rounds", args, problem, DEFAULT_MAX_ROUNDS)
+            denom = _resolve("root-denom-bound", args, problem,
+                             ROOT_DENOM_BOUND)
             if args.command == "prove":
                 if problem.goal is None:
                     raise SystemExit("error: prove needs a problem file with "

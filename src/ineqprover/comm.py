@@ -32,7 +32,6 @@ class SignContradiction(Exception):
                          + (f": {detail}" if detail else ""))
 
 _MIRROR = {LT: GT, LE: GE, EQ: EQ, GT: LT, GE: LE}
-_NEGATE = {LT: GE, LE: GT, GT: LE, GE: LT}
 
 #: Reserved name for the constant 1; banks never assign index -1.
 UNIT = Atom(-1, "1")
@@ -40,11 +39,6 @@ UNIT = Atom(-1, "1")
 
 def mirror(rel: str) -> str:
     return _MIRROR[rel]
-
-
-def negate_rel(rel: str) -> str:
-    """Relation of the negated atom.  Equality has no single negation."""
-    return _NEGATE[rel]
 
 
 def holds(lhs: Fraction, rel: str, rhs: Fraction) -> bool:
@@ -60,7 +54,10 @@ def holds(lhs: Fraction, rel: str, rhs: Fraction) -> bool:
 
 
 class CommAtom:
-    __slots__ = ("lhs", "rel", "coeff", "rhs", "_hash")
+    """``lhs REL coeff * rhs``.  Immutable; ``row``, the additive module's
+    linear atom for it, is filled in on first use (``linarith.from_comm``)."""
+
+    __slots__ = ("lhs", "rel", "coeff", "rhs", "_hash", "row")
 
     def __init__(self, lhs: Atom, rel: str, coeff: Fraction, rhs: Atom):
         self.lhs = lhs
@@ -68,6 +65,7 @@ class CommAtom:
         self.coeff = coeff
         self.rhs = rhs
         self._hash = hash((lhs, rel, coeff, rhs))
+        self.row = None
 
     def __hash__(self) -> int:
         return self._hash
@@ -144,10 +142,8 @@ def pair_key(atom: CommAtom) -> tuple:
     return (a, b)
 
 
-def negations(atom: CommAtom) -> list:
-    """Disjuncts (atoms, or constant booleans) equivalent to the negation."""
-    if atom.rel == EQ:
-        low = make_atom(atom.lhs, LT, atom.coeff, atom.rhs)
-        high = make_atom(atom.lhs, GT, atom.coeff, atom.rhs)
-        return [low, high]
-    return [make_atom(atom.lhs, negate_rel(atom.rel), atom.coeff, atom.rhs)]
+def contradiction_pair(name: Atom) -> list:
+    """``name < 0`` and ``name > 0``: the canonical refuting pair for a
+    module that found its system infeasible."""
+    return [make_atom(name, LT, Fraction(0), UNIT),
+            make_atom(name, GT, Fraction(0), UNIT)]

@@ -15,13 +15,14 @@ either kind read ``sum(coeff * name) REL bound-part`` with REL one of
   where a larger strength is a stronger bound in that direction, or None.
 
 The reserved unit name is a constant of both groups and is never chosen for
-elimination by the drivers below.
+elimination by the drivers below.  ``eliminate`` and the drivers take an
+optional ``memo`` dict owned by the caller; nothing is cached in the module.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .comm import EQ, LE, LT, ResourceLimitError, UNIT
 
@@ -61,13 +62,26 @@ def drop_weaker(atoms: Iterable, cap: int = ATOM_CAP) -> tuple:
     return system
 
 
-def eliminate(system: Sequence, name, cap: int = ATOM_CAP) -> tuple:
+def eliminate(system: Sequence, name, cap: int = ATOM_CAP,
+              memo: Optional[dict] = None) -> tuple:
     """Exact projection of the system onto the names other than ``name``.
 
     An equality mentioning the name is substituted into every other atom that
     does; otherwise every lower bound is combined with every upper bound, and
-    a combination is strict when either parent is.
+    a combination is strict when either parent is.  With a ``memo`` dict,
+    owned by the caller, elimination chains that share a prefix (as the
+    all-pairs sweep does) reuse each other's work.
     """
+    if memo is None:
+        return _eliminate(system, name, cap)
+    key = (tuple(system), name, cap)
+    done = memo.get(key)
+    if done is None:
+        done = memo[key] = _eliminate(key[0], name, cap)
+    return done
+
+
+def _eliminate(system: Sequence, name, cap: int) -> tuple:
     rest, equalities, lowers, uppers = [], [], [], []
     for a in system:
         c = a.coeff_of(name)
@@ -101,23 +115,21 @@ def _fewest_occurring(system: Sequence, keep):
 
 
 def eliminate_all_except(system: Iterable, keep: Iterable,
-                         cap: int = ATOM_CAP, step=eliminate) -> tuple:
-    """Project onto ``keep`` (plus the unit), fewest-occurrence order first.
-
-    ``step(system, name, cap)`` eliminates one name; a caller may pass a
-    memoized ``eliminate``.
-    """
+                         cap: int = ATOM_CAP,
+                         memo: Optional[dict] = None) -> tuple:
+    """Project onto ``keep`` (plus the unit), fewest-occurrence order first;
+    ``memo`` is passed to every elimination."""
     keep = set(keep)
     current = canonicalize(system)
     while True:
         target = _fewest_occurring(current, keep)
         if target is None:
             return current
-        current = step(current, target, cap)
+        current = eliminate(current, target, cap, memo)
 
 
 def is_infeasible(system: Sequence, cap: int = ATOM_CAP,
-                  step=eliminate) -> bool:
+                  memo: Optional[dict] = None) -> bool:
     """Exact: true iff the system has no real solution.  Stops at the first
     constant falsehood instead of eliminating every name."""
     current = system
@@ -125,5 +137,5 @@ def is_infeasible(system: Sequence, cap: int = ATOM_CAP,
         target = _fewest_occurring(current, ())
         if target is None:
             return False
-        current = step(current, target, cap)
+        current = eliminate(current, target, cap, memo)
     return True

@@ -6,10 +6,13 @@ affine facts stay homogeneous; adding ``unit > 0`` makes pair projections
 exact for the scaled-comparison language.  Rows hold primitive integer
 coefficients, so combining two rows is integer arithmetic plus one gcd.  The
 elimination itself is the kernel in ``elim``, shared with the multiplicative
-module; this module supplies the linear atom, infeasibility and entailment
-checks, and reads pair projections back as comparisons.  Single-name
-eliminations are memoized in a dict the caller passes in and owns; the
-blackboard keeps one per table version.
+module.  This module supplies the linear atom and the one path from
+comparisons to rows: ``from_comm`` translates a comparison once and keeps
+the row on it, ``implies`` refutes the negated row, ``prune_entailed`` drops
+comparisons the rest imply (for pair projections and for the blackboard's
+table alike), and ``project_to_pair`` reads projections back as
+comparisons.  Eliminations are memoized in a dict the caller owns and passes
+down to ``elim``; the blackboard keeps one per table version.
 """
 
 from __future__ import annotations
@@ -151,76 +154,57 @@ def lin_atom(coeffs: dict, rel: str) -> LinAtom:
                        for a, c in items], rel)
 
 
-_from_comm_memo: dict = {}
-
-
 def from_comm(atom: CommAtom) -> LinAtom:
-    """Translate ``lhs REL coeff*rhs`` into a linear atom."""
-    cached = _from_comm_memo.get(atom)
-    if cached is not None:
-        return cached
-    if atom.rel in (LT, LE, EQ):
-        made = lin_atom({atom.lhs: 1, atom.rhs: -atom.coeff}, atom.rel)
-    else:
-        flipped = LT if atom.rel == GT else LE
-        made = lin_atom({atom.lhs: -1, atom.rhs: atom.coeff}, flipped)
-    _from_comm_memo[atom] = made
-    return made
+    """The row of ``lhs REL coeff*rhs``, built once and kept on the atom.
+
+    With ``coeff = p/q`` in lowest terms the row is ``q*lhs - p*rhs``, whose
+    coefficients already have gcd 1; ``> >=`` flip its signs."""
+    row = atom.row
+    if row is None:
+        p, q = atom.coeff.numerator, atom.coeff.denominator
+        rel = atom.rel
+        if rel in (GT, GE):
+            p, q, rel = -p, -q, (LT if rel == GT else LE)
+        if p == 0:
+            items = ((atom.lhs, q),)
+        elif atom.lhs.index < atom.rhs.index:
+            items = ((atom.lhs, q), (atom.rhs, -p))
+        elif rel == EQ and p > 0:  # an equality's lead is positive
+            items = ((atom.rhs, p), (atom.lhs, -q))
+        else:
+            items = ((atom.rhs, -p), (atom.lhs, q))
+        row = atom.row = LinAtom(items, rel)
+    return row
 
 
-def fm_eliminate(system: Sequence[LinAtom], name: Atom,
-                 cap: int = ATOM_CAP, memo: Optional[dict] = None) -> tuple:
-    """Exact projection of the system onto the names other than ``name``.
-
-    With a ``memo`` dict, elimination chains that share a prefix (as the
-    all-pairs sweep does) reuse each other's work.
-    """
-    if name is UNIT:
-        raise ValueError("the unit name cannot be eliminated")
-    if memo is None:
-        return elim.eliminate(tuple(system), name, cap)
-    key = (tuple(system), name, cap)
-    cached = memo.get(key)
-    if cached is None:
-        cached = memo[key] = elim.eliminate(key[0], name, cap)
-    return cached
-
-
-def _step(memo: Optional[dict]):
-    """The ``elim`` step: one elimination through ``fm_eliminate``."""
-    return lambda system, name, cap: fm_eliminate(system, name, cap, memo)
+def _negations(atom: CommAtom) -> tuple:
+    """Rows whose disjunction is the negation of ``atom``: the row with its
+    signs flipped and strictness swapped, or for an equality the two strict
+    rows, ``lhs < coeff*rhs`` first."""
+    row = from_comm(atom)
+    flipped = tuple((name, -c) for name, c in row.coeffs)
+    if row.rel != EQ:
+        return (LinAtom(flipped, LE if row.rel == LT else LT),)
+    below, above = LinAtom(row.coeffs, LT), LinAtom(flipped, LT)
+    return (below, above) if row.coeff_of(atom.lhs) > 0 else (above, below)
 
 
 def is_infeasible(system: Sequence[LinAtom], cap: int = ATOM_CAP,
                   memo: Optional[dict] = None) -> bool:
     """Exact: true iff the system has no rational (equivalently real) solution."""
-    return elim.is_infeasible(canonicalize(system), cap, step=_step(memo))
+    return elim.is_infeasible(canonicalize(system), cap, memo)
 
 
 def implies(system: Sequence[LinAtom], atom: CommAtom,
             cap: int = ATOM_CAP, memo: Optional[dict] = None) -> bool:
-    """Entailment check: the negation of ``atom`` must be infeasible."""
+    """Entailment check: every row of the negation of ``atom`` must be
+    infeasible together with the system."""
     base = canonicalize(system)
-    for disjunct in comm.negations(atom):
-        if disjunct is False:
-            continue
-        extended = base if disjunct is True else base + (from_comm(disjunct),)
-        if not is_infeasible(extended, cap, memo):
-            return False
-    return True
+    return all(is_infeasible(base + (negated,), cap, memo)
+               for negated in _negations(atom))
 
 
 _UNIT_POSITIVE = lin_atom({UNIT: -1}, LT)
-
-
-def _contradiction_pair(v: Atom) -> list:
-    anchor = v if v is not UNIT else UNIT
-    if anchor is UNIT:
-        # No ordinary name involved; the constant falsehood suffices.
-        return [make_atom(UNIT, LT, Fraction(1), UNIT)]
-    low = make_atom(anchor, LT, Fraction(0), UNIT)
-    high = make_atom(anchor, GT, Fraction(0), UNIT)
-    return [a for a in (low, high) if not isinstance(a, bool)]
 
 
 def _atoms_from_two_names(system: Sequence[LinAtom], u: Atom, v: Atom) -> list:
@@ -274,19 +258,23 @@ def _merge_equalities(atoms: list) -> list:
     return result
 
 
-def _prune_entailed(atoms: list, cap: int, memo: Optional[dict]) -> list:
-    """Drop atoms implied by the remaining ones, in one deterministic pass.
+def prune_entailed(atoms: Sequence[CommAtom], extra: Sequence[CommAtom] = (),
+                   keep: Optional[CommAtom] = None, cap: int = ATOM_CAP,
+                   memo: Optional[dict] = None) -> list:
+    """Drop the atoms implied by the remaining ones and ``extra``, in one
+    deterministic pass; ``keep`` is never dropped.
 
     Each drop is justified by atoms that either survive or are dropped later
     with their own justification, so the final set implies every dropped one.
     """
     kept = list(atoms)
+    rows = [from_comm(a) for a in kept]
+    extra_rows = [from_comm(a) for a in extra]
     i = 0
     while i < len(kept):
-        others = kept[:i] + kept[i + 1:]
-        context = [from_comm(b) for b in others]
-        if implies(context, kept[i], cap, memo):
-            kept.pop(i)
+        if kept[i] is not keep and implies(rows[:i] + rows[i + 1:] + extra_rows,
+                                           kept[i], cap, memo):
+            del kept[i], rows[i]
         else:
             i += 1
     return kept
@@ -303,26 +291,24 @@ def project_to_pair(system: Sequence[LinAtom], u: Atom, v: Atom,
     """
     if u is v:
         raise ValueError("projection needs two distinct names")
-    step = _step(memo)
-    reduced = elim.eliminate_all_except(system, (u, v), cap, step=step)
+    reduced = elim.eliminate_all_except(system, (u, v), cap, memo)
     if elim.has_false_constant(reduced) or is_infeasible(reduced, cap, memo):
-        return _contradiction_pair(v if v is not UNIT else u)
+        return comm.contradiction_pair(v if v is not UNIT else u)
     collected: list = []
     if u is UNIT or v is UNIT:
         x = v if u is UNIT else u
         got = _atoms_from_two_names(reduced, x, UNIT)
         if got is None:
-            return _contradiction_pair(x)
+            return comm.contradiction_pair(x)
         collected.extend(got)
     else:
         # The unit is positive; make that explicit while projecting it away.
         pair_only = elim.eliminate(reduced + (_UNIT_POSITIVE,), UNIT, cap)
         for source, names in ((pair_only, (u, v)),
-                              (step(reduced, v, cap), (u, UNIT)),
-                              (step(reduced, u, cap), (v, UNIT))):
+                              (elim.eliminate(reduced, v, cap, memo), (u, UNIT)),
+                              (elim.eliminate(reduced, u, cap, memo), (v, UNIT))):
             got = _atoms_from_two_names(source, *names)
             if got is None:
-                return _contradiction_pair(v)
+                return comm.contradiction_pair(v)
             collected.extend(got)
-    merged = _merge_equalities(collected)
-    return _prune_entailed(merged, cap, memo)
+    return prune_entailed(_merge_equalities(collected), cap=cap, memo=memo)

@@ -134,10 +134,6 @@ def _products_of(sets: Sequence[frozenset]) -> frozenset:
     return acc
 
 
-def _pow_preimage(target: frozenset, exp: int) -> frozenset:
-    return frozenset(c for c in "-0+" if _class_pow(c, exp) in target)
-
-
 def _scale_preimage(target: frozenset, q: Fraction) -> frozenset:
     if q == 0:
         return UNKNOWN if "0" in target else frozenset()
@@ -528,10 +524,7 @@ def project_to_ratio(atoms: Sequence[MultAtom], u: Atom, v: Atom,
         system.append(mult_atom({_RATIO: 1, u: -1, v: 1}, EQ, Fraction(1)))
     reduced = elim.eliminate_all_except(system, {target})
     if elim.has_false_constant(reduced):
-        anchor = u if u is not UNIT else v
-        low = make_atom(anchor, LT, Fraction(0), UNIT)
-        high = make_atom(anchor, GT, Fraction(0), UNIT)
-        return [a for a in (low, high) if not isinstance(a, bool)]
+        return comm.contradiction_pair(u if u is not UNIT else v)
 
     uppers: list = []  # (bound, root index, strict)
     lowers: list = []

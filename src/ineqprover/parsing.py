@@ -204,9 +204,6 @@ class _ExprParser:
         raise ParseError(f"expected an expression, found "
                          f"{tok.text or 'end of line'}", tok.line, tok.column)
 
-    def at_end(self) -> bool:
-        return self.peek().kind == "END"
-
 
 def parse_expression(text: str,
                      declared: Optional[Dict[str, MonoDecl]] = None,

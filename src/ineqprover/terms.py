@@ -571,9 +571,6 @@ class TermBank:
             self._apps.append((symbol, arg, atom))
         return atom
 
-    def atoms(self) -> list:
-        return list(self._atoms.values())
-
     def applications(self) -> list:
         return list(self._apps)
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ineqprover import comm, elim, linarith, mularith, terms
-from ineqprover.comm import EQ, GT, LE, LT, UNIT
+from ineqprover.comm import EQ, GE, GT, LE, LT, UNIT
 from ineqprover.linarith import LinAtom
 from ineqprover.terms import (App, Div, Neg, One, Pow, Prod, RawTerm, Scale,
                               Sum, Var)
@@ -421,6 +421,17 @@ def state_atom_holds(state, atom, assignment, funcs=None) -> bool:
 
 # --- replay of trace steps ---------------------------------------------------
 
+_NEGATE = {LT: GE, LE: GT, GT: LE, GE: LT}
+
+
+def negations(atom: comm.CommAtom) -> list:
+    """Disjuncts (atoms, or constant booleans) equivalent to the negation,
+    built through ``make_atom`` rather than the engine's row negation."""
+    if atom.rel == EQ:
+        return [comm.make_atom(atom.lhs, LT, atom.coeff, atom.rhs),
+                comm.make_atom(atom.lhs, GT, atom.coeff, atom.rhs)]
+    return [comm.make_atom(atom.lhs, _NEGATE[atom.rel], atom.coeff, atom.rhs)]
+
 
 def replay_step(state, step) -> bool:
     """Re-derive one trace step with its named module from its premises."""
@@ -468,7 +479,7 @@ def _premises_contradictory(state, premises) -> bool:
 
 
 def _mult_rederives(state, premises, atom) -> bool:
-    for disjunct in comm.negations(atom):
+    for disjunct in negations(atom):
         if disjunct is False:
             continue
         if disjunct is True:

@@ -354,7 +354,7 @@ def test_resource_limit_is_a_verdict():
 
 
 def test_elimination_memo_lives_one_table_version(capsys, monkeypatch):
-    from ineqprover import cli, linarith
+    from ineqprover import cli, elim, linarith
     monkeypatch.delenv("INEQ_MAX_ROUNDS", raising=False)
     monkeypatch.delenv("INEQ_ROOT_DENOM_BOUND", raising=False)
     path = Path(__file__).resolve().parent.parent / "problems" / "square.prob"
@@ -363,8 +363,8 @@ def test_elimination_memo_lives_one_table_version(capsys, monkeypatch):
         cli.main(["prove", str(path), "--json"])
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
-    # Only the translation memo may outlive a solve.
-    held = [name for name, value in vars(linarith).items()
-            if isinstance(value, dict) and value and not name.startswith("__")
-            and name != "_from_comm_memo"]
+    # No memo outlives a solve.
+    held = [f"{module.__name__}.{name}" for module in (linarith, elim)
+            for name, value in vars(module).items()
+            if isinstance(value, dict) and value and not name.startswith("__")]
     assert held == []

@@ -151,6 +151,15 @@ def test_environment_overrides_defaults(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["rounds"] == 2
 
 
+def test_bad_flag_values_name_the_flag(tmp_path, capsys):
+    path = tmp_path / "square.prob"
+    path.write_text(SQUARE)
+    for flag, value in (("--max-rounds", "0"), ("--root-denom-bound", "-3")):
+        code, out, err = run_cli(capsys, "prove", str(path), flag, value)
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} must be positive\n"
+
+
 def test_console_entry_point_runs():
     # The child does not see pytest's pythonpath setting; give it src/.
     src = str(Path(__file__).resolve().parent.parent / "src")

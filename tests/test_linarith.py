@@ -5,7 +5,7 @@ import pytest
 
 from ineqprover import comm, elim, linarith as L
 from ineqprover import terms as T
-from ineqprover.comm import EQ, GT, LE, LT, UNIT, make_atom
+from ineqprover.comm import EQ, GE, GT, LE, LT, UNIT, make_atom
 
 import oracles
 
@@ -254,7 +254,7 @@ def run_maximality_check(count: int, seed: int) -> None:
                     continue  # not a strengthening relative to the answer
                 # A perturbation the answer does not cover must not be
                 # entailed: its negation stays feasible with the system.
-                for neg in comm.negations(perturbed):
+                for neg in oracles.negations(perturbed):
                     assert not isinstance(neg, bool)
                     assert oracles.oracle_feasible(
                         list(system) + [L.from_comm(neg)])
@@ -334,3 +334,26 @@ def test_sort_key_orders_like_lead_scaled_rationals():
     assert elim.canonicalize(atoms) == tuple(
         sorted(set(a for a in atoms if a.constant_truth() is not True),
                key=reference.__getitem__))
+
+
+def _rational_row(atom):
+    """``lhs - coeff*rhs REL 0`` through ``lin_atom``, negated for ``> >=``."""
+    if atom.rel in (LT, LE, EQ):
+        return L.lin_atom({atom.lhs: 1, atom.rhs: -atom.coeff}, atom.rel)
+    flipped = LT if atom.rel == GT else LE
+    return L.lin_atom({atom.lhs: -1, atom.rhs: atom.coeff}, flipped)
+
+
+def test_from_comm_matches_the_rational_translation():
+    _, (x, y) = _bank_vars("x", "y")
+    for rel in (LT, LE, EQ, GT, GE):
+        for coeff in (Q(0), Q(1), Q(3, 4), Q(-1), Q(-5, 2), Q(7)):
+            for lhs, rhs in ((x, y), (y, x), (x, UNIT), (y, UNIT)):
+                atom = comm.CommAtom(lhs, rel, coeff, rhs)
+                row = L.from_comm(atom)
+                assert row == _rational_row(atom), atom
+                # Translated once: the row is kept on the comparison.
+                assert atom.row is row and L.from_comm(atom) is row
+                # The negation's rows are those of the negated comparisons.
+                assert L._negations(atom) == tuple(
+                    _rational_row(n) for n in oracles.negations(atom)), atom

@@ -272,7 +272,7 @@ def test_ratio_bounds_are_entailed():
         if not returned:
             continue
         for atom in returned:
-            for neg in comm.negations(atom):
+            for neg in oracles.negations(atom):
                 assert not isinstance(neg, bool)
                 extended = list(atoms) + list(
                     M.to_positive_cone({}, [neg], env))
