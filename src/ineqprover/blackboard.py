@@ -75,7 +75,6 @@ class ProblemState:
         self._names: Dict[Preterm, Atom] = {}
         self._defined: Dict[Atom, Preterm] = {}
         self._fresh = 0
-        self._apps_seen = 0
         self._clock = 0
         self._version: Dict[Atom, int] = {}
         self._visited: Dict[tuple, int] = {}
@@ -118,10 +117,7 @@ class ProblemState:
         return name
 
     def _sync_apps(self) -> None:
-        registry = self.bank.applications()
-        while self._apps_seen < len(registry):
-            symbol, arg, atom = registry[self._apps_seen]
-            self._apps_seen += 1
+        for symbol, arg, atom in self.bank.apps[len(self.apps):]:
             if symbol not in self.decls:
                 raise TermError(f"undeclared function symbol {symbol!r}")
             if arg.is_zero:
@@ -238,11 +234,14 @@ class Snapshot:
     """What the passes read off one version of the blackboard: the table's
     atoms, the premise strings every derived step cites, the memo of the
     additive pass's eliminations, and, built on first use, the linear system
-    and the positive cone."""
+    and the positive cone.  It holds the definitions and signs it reads, not
+    the state, so a state is freed as soon as its verdict is dropped."""
 
     def __init__(self, state: ProblemState):
-        self._state = state
         self.clock = state._clock
+        self.defs_add = state.defs_add
+        self.defs_mult = state.defs_mult
+        self.signs = state.signs
         self.memo: dict = {}
         self.atoms = tuple(state.comm_atoms())
         self.premises = tuple(state.def_strings()) + tuple(
@@ -251,7 +250,7 @@ class Snapshot:
     @cached_property
     def system(self) -> tuple:
         atoms = []
-        for name, entries in self._state.defs_add.items():
+        for name, entries in self.defs_add.items():
             coeffs: Dict[Atom, Fraction] = {name: Fraction(1)}
             for c, n in entries:
                 coeffs[n] = coeffs.get(n, Fraction(0)) - c
@@ -262,9 +261,8 @@ class Snapshot:
     @cached_property
     def cone(self) -> list:
         """Raises SignContradiction, uncached, when the cone is absurd."""
-        state = self._state
-        return mularith.to_positive_cone(state.defs_mult, self.atoms,
-                                         state.signs)
+        return mularith.to_positive_cone(self.defs_mult, self.atoms,
+                                         self.signs)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +275,7 @@ def separate_terms(hypotheses: Sequence[tuple],
                    root_denom_bound: int = ROOT_DENOM_BOUND) -> ProblemState:
     """Build the blackboard from raw comparisons ``(lhs, rel, rhs)``.
 
-    Every maximal sum or product is normalized, interned, and named; each
+    Every maximal sum or product is normalized and named; each
     comparison becomes a scaled pairwise atom between names; an equality
     becomes the pair of opposite inequalities.
     """

@@ -107,7 +107,7 @@ def _load_problem(path: str) -> ProblemFile:
 
 def _print_outcome(mode: str, verdict: Verdict, args) -> int:
     if args.json:
-        print(emit_report(verdict, "json"))
+        print(emit_report(verdict))
     else:
         if verdict.kind == REFUTED:
             word = "PROVED" if mode == "prove" else "REFUTED"

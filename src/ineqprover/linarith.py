@@ -79,7 +79,7 @@ class LinAtom:
 
     def coeff_of(self, name: Atom) -> int:
         for atom, c in self.coeffs:
-            if atom is name:  # names are interned: equal means identical
+            if atom is name:  # a problem's bank makes one Atom per name
                 return c
         return 0
 

@@ -414,6 +414,25 @@ def _root_brackets(c: Fraction, n: int, max_den: int) -> Tuple[Fraction, Fractio
     def below(p: int, q: int) -> bool:
         return p ** n * c.denominator < c.numerator * q ** n
 
+    def advance(a: tuple, b: tuple, side: bool) -> tuple:
+        # a + m*b for the largest m within the denominator cap that stays on
+        # a's side of the root (m = 1 does), found by galloping then bisecting.
+        def stays(m: int) -> bool:
+            return below(a[0] + m * b[0], a[1] + m * b[1]) == side
+
+        limit = (max_den - a[1]) // b[1]
+        step = 1
+        while step * 2 <= limit and stays(2 * step):
+            step *= 2
+        low_k, high_k = step, min(limit, step * 2)
+        while low_k < high_k:
+            mid = (low_k + high_k + 1) // 2
+            if stays(mid):
+                low_k = mid
+            else:
+                high_k = mid - 1
+        return (a[0] + low_k * b[0], a[1] + low_k * b[1])
+
     k = integer_nth_root(c.numerator // c.denominator, n)
     while below(k + 1, 1):
         k += 1  # k+1 could still be under the root when c is not integral
@@ -421,34 +440,9 @@ def _root_brackets(c: Fraction, n: int, max_den: int) -> Tuple[Fraction, Fractio
     hi = (k + 1, 1)
     while lo[1] + hi[1] <= max_den:
         if below(lo[0] + hi[0], lo[1] + hi[1]):
-            # lo moves toward the root by adding multiples of hi
-            limit = (max_den - lo[1]) // hi[1]
-            step = 1
-            while step * 2 <= limit and below(lo[0] + 2 * step * hi[0],
-                                              lo[1] + 2 * step * hi[1]):
-                step *= 2
-            low_k, high_k = step, min(limit, step * 2)
-            while low_k < high_k:
-                mid = (low_k + high_k + 1) // 2
-                if below(lo[0] + mid * hi[0], lo[1] + mid * hi[1]):
-                    low_k = mid
-                else:
-                    high_k = mid - 1
-            lo = (lo[0] + low_k * hi[0], lo[1] + low_k * hi[1])
+            lo = advance(lo, hi, True)
         else:
-            limit = (max_den - hi[1]) // lo[1]
-            step = 1
-            while step * 2 <= limit and not below(hi[0] + 2 * step * lo[0],
-                                                  hi[1] + 2 * step * lo[1]):
-                step *= 2
-            low_k, high_k = step, min(limit, step * 2)
-            while low_k < high_k:
-                mid = (low_k + high_k + 1) // 2
-                if not below(hi[0] + mid * lo[0], hi[1] + mid * lo[1]):
-                    low_k = mid
-                else:
-                    high_k = mid - 1
-            hi = (hi[0] + low_k * lo[0], hi[1] + low_k * lo[1])
+            hi = advance(hi, lo, False)
     return Fraction(*lo), Fraction(*hi)
 
 
@@ -514,14 +508,11 @@ def project_to_ratio(atoms: Sequence[MultAtom], u: Atom, v: Atom,
     sv = _signed_view(v, env)
     if su is None or sv is None:
         return []
-    system = list(atoms)
     if v is UNIT:
-        target = u
-        sigma_v = 1
+        target, system = u, list(atoms)
     else:
         target = _RATIO
-        sigma_v = sv
-        system.append(mult_atom({_RATIO: 1, u: -1, v: 1}, EQ, Fraction(1)))
+        system = [*atoms, mult_atom({_RATIO: 1, u: -1, v: 1}, EQ, Fraction(1))]
     reduced = elim.eliminate_all_except(system, {target})
     if elim.has_false_constant(reduced):
         return comm.contradiction_pair(u if u is not UNIT else v)
@@ -532,45 +523,31 @@ def project_to_ratio(atoms: Sequence[MultAtom], u: Atom, v: Atom,
         k = a.coeff_of(target)
         if k == 0:
             continue
-        if a.rel == EQ:
-            if k > 0:
-                uppers.append((a.bound, k, False))
-                lowers.append((a.bound, k, False))
-            else:
-                uppers.append((1 / a.bound, -k, False))
-                lowers.append((1 / a.bound, -k, False))
-        elif k > 0:
-            uppers.append((a.bound, k, a.rel == LT))
-        else:
-            lowers.append((1 / a.bound, -k, a.rel == LT))
+        strict = a.rel == LT
+        bound = (a.bound, k, strict) if k > 0 else (1 / a.bound, -k, strict)
+        if a.rel == EQ or k > 0:
+            uppers.append(bound)
+        if a.rel == EQ or k < 0:
+            lowers.append(bound)
 
     out = []
-    if uppers:
-        best = uppers[0]
-        for cand in uppers[1:]:
+    # (bounds, _root_compare's sign for a better bound, rounding direction,
+    #  relations indexed by strictness)
+    for bounds, better, direction, rels in ((uppers, -1, "upper", (LE, LT)),
+                                            (lowers, 1, "lower", (GE, GT))):
+        if not bounds:
+            continue
+        best = bounds[0]
+        for cand in bounds[1:]:
             cmp = _root_compare(cand[0], cand[1], best[0], best[1])
-            if cmp < 0 or (cmp == 0 and cand[2] and not best[2]):
+            if cmp == better or (cmp == 0 and cand[2] and not best[2]):
                 best = cand
         c, k, strict = best
         exact = _perfect_root(c, k)
-        q = exact if exact is not None else rational_root_bound(c, k, "upper", max_den)
-        made = _emit(u, v, su, sigma_v if v is not UNIT else 1,
-                     LT if strict else LE, q, approx_sink, exact is None)
-        if made is False:
-            return [made]
-        if made is not True:
-            out.append(made)
-    if lowers:
-        best = lowers[0]
-        for cand in lowers[1:]:
-            cmp = _root_compare(cand[0], cand[1], best[0], best[1])
-            if cmp > 0 or (cmp == 0 and cand[2] and not best[2]):
-                best = cand
-        c, k, strict = best
-        exact = _perfect_root(c, k)
-        q = exact if exact is not None else rational_root_bound(c, k, "lower", max_den)
-        made = _emit(u, v, su, sigma_v if v is not UNIT else 1,
-                     GT if strict else GE, q, approx_sink, exact is None)
+        q = (exact if exact is not None
+             else rational_root_bound(c, k, direction, max_den))
+        made = _emit(u, v, su, sv, rels[strict], q, approx_sink,
+                     exact is None)
         if made is False:
             return [made]
         if made is not True:

@@ -1,4 +1,4 @@
-"""Machine-readable and human-readable result reports.
+"""Machine-readable result reports.
 
 The JSON report is byte-deterministic for a fixed input and flag set: field
 order is fixed, the trace is emitted in derivation order, and the name table
@@ -46,22 +46,5 @@ def report_data(verdict: Verdict) -> dict:
     }
 
 
-def emit_report(verdict: Verdict, fmt: str = "json") -> str:
-    data = report_data(verdict)
-    if fmt == "json":
-        return json.dumps(data, indent=2, sort_keys=False)
-    if fmt != "human":
-        raise ValueError(f"unknown report format {fmt!r}")
-    lines = [f"verdict: {data['verdict']}",
-             f"rounds: {data['rounds']}",
-             f"atoms derived: {data['atoms_derived']}"]
-    if data["name_table"]:
-        lines.append("names:")
-        for key, value in data["name_table"].items():
-            lines.append(f"  {key} = {value}")
-    lines.append("trace:")
-    for step in data["trace"]:
-        note = f"  ({step['note']})" if step["note"] else ""
-        lines.append(f"  [round {step['round']} {step['module']}] "
-                     f"{step['derived']}{note}")
-    return "\n".join(lines)
+def emit_report(verdict: Verdict) -> str:
+    return json.dumps(report_data(verdict), indent=2, sort_keys=False)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 
@@ -286,25 +286,14 @@ class NormalTerm:
         return self.coeff == 0
 
 
-_intern_table: dict = {}
-
-
-def _intern(node):
-    cached = _intern_table.get(node)
-    if cached is None:
-        _intern_table[node] = node
-        return node
-    return cached
-
-
-ZERO = _intern(NormalTerm(Fraction(0), ONE))
-TERM_ONE = _intern(NormalTerm(Fraction(1), ONE))
+ZERO = NormalTerm(Fraction(0), ONE)
+TERM_ONE = NormalTerm(Fraction(1), ONE)
 
 
 def _norm(coeff: Fraction, body: Preterm) -> NormalTerm:
     if coeff == 0:
         return ZERO
-    return _intern(NormalTerm(coeff, body))
+    return NormalTerm(coeff, body)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +301,6 @@ def _norm(coeff: Fraction, body: Preterm) -> NormalTerm:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _rank(p: Preterm) -> int:
     if isinstance(p, (_OneAtom, Atom)):
         return 0
@@ -382,7 +370,6 @@ def _lex_multiplicative(s: Preterm, t: Preterm) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
 def precedes(s: Preterm, t: Preterm) -> bool:
     """The strict total order on preterms in normal form (s sorts below t).
 
@@ -419,8 +406,6 @@ def _descending(p: Preterm, q: Preterm) -> int:
 
 
 def _sort_descending(items, keyfn):
-    from functools import cmp_to_key
-
     return sorted(items, key=cmp_to_key(lambda a, b: _descending(keyfn(a), keyfn(b))))
 
 
@@ -463,7 +448,7 @@ def _make_sum(monomials: Iterable[tuple]) -> NormalTerm:
         return _norm(coeff, pre)
     lead = items[0][1]
     children = tuple((coeff / lead, pre) for pre, coeff in items)
-    return _norm(lead, _intern(AddNode(children)))
+    return _norm(lead, AddNode(children))
 
 
 def _make_product(factors: Iterable[tuple]) -> Preterm:
@@ -481,7 +466,7 @@ def _make_product(factors: Iterable[tuple]) -> Preterm:
     items = _sort_descending(merged.items(), lambda kv: kv[0])
     if len(items) == 1 and items[0][1] == 1:
         return items[0][0]
-    return _intern(MultNode(tuple(items)))
+    return MultNode(tuple(items))
 
 
 def add_terms(s: NormalTerm, t: NormalTerm) -> NormalTerm:
@@ -543,21 +528,25 @@ def pow_int(s: NormalTerm, exponent: int) -> NormalTerm:
 
 
 class TermBank:
-    """Assigns atom indices in first-appearance order and interns applications.
+    """One problem's terms: its atoms, its applications, its normal forms.
 
-    One bank per problem keeps the order, and hence every normal form,
-    deterministic for that problem regardless of what ran before.
+    Atoms get indices in first-appearance order, so the order, and hence
+    every normal form, is deterministic for the problem whatever ran before.
+    Each variable and each application of a symbol to a normal form is one
+    ``Atom``, and ``normalize`` returns one object per normal form.  All of
+    it is dropped with the bank; nothing is shared between problems.
     """
 
     def __init__(self):
         self._atoms: dict = {}
-        self._apps: list = []  # (symbol, arg NormalTerm, Atom) in creation order
+        self._terms: dict = {}
+        self.apps: list = []  # (symbol, arg NormalTerm, Atom) in creation order
 
     def var(self, name: str) -> Atom:
         key = ("var", name)
         atom = self._atoms.get(key)
         if atom is None:
-            atom = _intern(Atom(len(self._atoms), name))
+            atom = Atom(len(self._atoms), name)
             self._atoms[key] = atom
         return atom
 
@@ -566,20 +555,20 @@ class TermBank:
         atom = self._atoms.get(key)
         if atom is None:
             label = f"{symbol}({render(arg)})"
-            atom = _intern(Atom(len(self._atoms), label, app=(symbol, arg)))
+            atom = Atom(len(self._atoms), label, app=(symbol, arg))
             self._atoms[key] = atom
-            self._apps.append((symbol, arg, atom))
+            self.apps.append((symbol, arg, atom))
         return atom
-
-    def applications(self) -> list:
-        return list(self._apps)
 
 
 def normalize(term: RawTerm, bank: Optional[TermBank] = None) -> NormalTerm:
-    """Put a raw term into normal form.  Exact; no rounding anywhere."""
+    """Put a raw term into normal form.  Exact; no rounding anywhere.
+
+    Within one bank, equal normal forms are the same object."""
     if bank is None:
         bank = TermBank()
-    return _normalize(term, bank)
+    result = _normalize(term, bank)
+    return bank._terms.setdefault(result, result)
 
 
 def _normalize(term: RawTerm, bank: TermBank) -> NormalTerm:

@@ -294,14 +294,14 @@ def test_criterion_10_byte_identical_reports():
             problem = _load(name)
             verdict = B.prove_sequent(problem.hypotheses, problem.goal,
                                       problem.declarations, cap=30)
-            chunks.append(report.emit_report(verdict, "json"))
+            chunks.append(report.emit_report(verdict))
         contrived = _load("contrived.prob")
         verdict = B.refute_hypotheses(contrived.hypotheses,
                                       contrived.declarations, cap=30)
-        chunks.append(report.emit_report(verdict, "json"))
+        chunks.append(report.emit_report(verdict))
         for n in range(1, 11):
             verdict = B.refute_hypotheses(family(Q(n, n + 1)), cap=30)
-            chunks.append(report.emit_report(verdict, "json"))
+            chunks.append(report.emit_report(verdict))
         return "\n".join(chunks).encode()
 
     in_process = run_corpus() == run_corpus()

@@ -368,3 +368,58 @@ def test_elimination_memo_lives_one_table_version(capsys, monkeypatch):
             for name, value in vars(module).items()
             if isinstance(value, dict) and value and not name.startswith("__")]
     assert held == []
+
+
+def _module_state_sizes() -> dict:
+    """Size of every module-level dict, set, list and lru_cache in the
+    package, keyed by its qualified name."""
+    import importlib
+    import pkgutil
+
+    import ineqprover
+    sizes = {}
+    for info in pkgutil.iter_modules(ineqprover.__path__):
+        module = importlib.import_module(f"ineqprover.{info.name}")
+        for name, value in vars(module).items():
+            if name.startswith("__"):
+                continue
+            key = f"{module.__name__}.{name}"
+            if isinstance(value, (dict, set, list)):
+                sizes[key] = len(value)
+            elif hasattr(value, "cache_info"):
+                sizes[key] = value.cache_info().currsize
+    return sizes
+
+
+def test_a_solve_leaves_no_module_state_behind(capsys, monkeypatch):
+    from ineqprover import cli
+    monkeypatch.delenv("INEQ_MAX_ROUNDS", raising=False)
+    monkeypatch.delenv("INEQ_ROOT_DENOM_BOUND", raising=False)
+    problems = Path(__file__).resolve().parent.parent / "problems"
+    cli.run_cli(["prove", str(problems / "motivating1.prob"), "--json"])
+    before = _module_state_sizes()
+    cli.run_cli(["prove", str(problems / "pnt.prob"), "--json"])
+    after = _module_state_sizes()
+    capsys.readouterr()
+    grown = {key: (before.get(key, 0), size) for key, size in after.items()
+             if size > before.get(key, 0)}
+    assert grown == {}
+
+
+def test_a_dropped_verdict_frees_its_state_without_the_collector():
+    import gc
+    import weakref
+
+    from ineqprover.parsing import parse_problem
+    path = Path(__file__).resolve().parent.parent / "problems" / "motivating1.prob"
+    problem = parse_problem(path.read_text(encoding="utf-8"))
+    gc.disable()
+    try:
+        verdict = B.prove_sequent(problem.hypotheses, problem.goal,
+                                  problem.declarations)
+        assert verdict.refuted
+        state = weakref.ref(verdict.state)
+        del verdict
+        assert state() is None
+    finally:
+        gc.enable()

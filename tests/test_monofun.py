@@ -41,7 +41,7 @@ def test_decreasing_function_flips_order():
 
 
 def test_equal_arguments_share_one_name():
-    # Congruence comes from interning: both occurrences get the same atom.
+    # Congruence comes from the bank: both occurrences get the same atom.
     bank = T.TermBank()
     x = T.Var("x")
     arg = T.normalize(x + 1, bank)

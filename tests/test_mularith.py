@@ -319,3 +319,28 @@ def test_root_bound_rejects_bad_input():
         M.rational_root_bound(0, 2, "lower")
     with pytest.raises(ValueError):
         M.rational_root_bound(2, 2, "sideways")
+
+
+def test_root_bounds_are_the_best_capped_rationals():
+    # Brute force over every denominator up to the cap; a non-perfect power
+    # has no rational root, so the best upper numerator is the lower one + 1.
+    def lower_numerator(c, n, q):
+        p = int(float(c * q ** n) ** (1 / n))
+        while Q(p, q) ** n > c:
+            p -= 1
+        while Q(p + 1, q) ** n < c:
+            p += 1
+        return p
+
+    for num in range(1, 40):
+        for den in range(1, 12):
+            c = Q(num, den)
+            for n in range(2, 6):
+                if M._perfect_root(c, n) is not None:
+                    continue
+                ps = [lower_numerator(c, n, q) for q in range(1, 51)]
+                for max_den in (1, 2, 7, 50):
+                    lower = max(Q(p, q) for q, p in enumerate(ps[:max_den], 1))
+                    upper = min(Q(p + 1, q) for q, p in enumerate(ps[:max_den], 1))
+                    assert M.rational_root_bound(c, n, "lower", max_den) == lower
+                    assert M.rational_root_bound(c, n, "upper", max_den) == upper

@@ -37,7 +37,7 @@ def test_sum_commutativity_absorbed():
     left = T.normalize(x + y, bank)
     right = T.normalize(y + x, bank)
     assert left == right
-    assert left is right  # interning gives one identity
+    assert left is right  # one object per normal form within a bank
 
 
 def test_factored_forms_stay_distinct():
