@@ -372,9 +372,7 @@ def _add_pass(state: ProblemState, force_all: bool) -> bool:
         if not force_all and not state._dirty("add", u, v):
             continue
         snap = state.snapshot()
-        target_u, target_v = (v, u) if u is UNIT else (u, v)
-        derived = linarith.project_to_pair(snap.system, target_u, target_v,
-                                           memo=snap.memo)
+        derived = linarith.project_to_pair(snap.system, u, v, memo=snap.memo)
         state._mark_visited("add", u, v)
         for atom in derived:
             changed |= state.assert_comm_atom(atom, "add", snap.premises,
@@ -389,7 +387,7 @@ def _mult_pass(state: ProblemState, force_all: bool) -> bool:
         defined.extend(monomial)
     names = [n for n in _live_names(state.snapshot(), defined)
              if n is not UNIT and state.signs.in_cone(n)]
-    pair_list = _pairs_of(names) + [(UNIT, n) for n in names]
+    pair_list = _pairs_of(names) + [(n, UNIT) for n in names]
     for u, v in pair_list:
         if state.refuted:
             return True
@@ -403,9 +401,8 @@ def _mult_pass(state: ProblemState, force_all: bool) -> bool:
                               snap.atoms)
             return True
         approx: list = []
-        target_u, target_v = (v, UNIT) if u is UNIT else (u, v)
         derived = mularith.project_to_ratio(
-            cone, target_u, target_v, state.signs,
+            cone, u, v, state.signs,
             max_den=state.root_denom_bound, approx_sink=approx)
         state._mark_visited("mult", u, v)
         for atom in derived:

@@ -98,10 +98,16 @@ def _resolve(option: str, args, problem: ProblemFile, fallback: int) -> int:
 
 def _load_problem(path: str) -> ProblemFile:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
+        text = data.decode("utf-8")
     except OSError as exc:
         raise SystemExit(f"error: cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        column = exc.start - data.rfind(b"\n", 0, exc.start)
+        raise SystemExit(f"error: {path}: line {line}, column {column}: "
+                         f"not UTF-8 text (byte 0x{data[exc.start]:02x})")
     return parse_problem(text)
 
 

@@ -15,8 +15,10 @@ either kind read ``sum(coeff * name) REL bound-part`` with REL one of
   where a larger strength is a stronger bound in that direction, or None.
 
 The reserved unit name is a constant of both groups and is never chosen for
-elimination by the drivers below.  ``eliminate`` and the drivers take an
-optional ``memo`` dict owned by the caller; nothing is cached in the module.
+elimination by the drivers below.  A system past ``ATOM_CAP`` atoms raises
+ResourceLimitError.  ``eliminate`` and the drivers take an optional ``memo``
+dict owned by the caller, keyed by ``(system, name)``; nothing is cached in
+the module.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ def has_false_constant(system: Iterable) -> bool:
     return any(a.constant_truth() is False for a in system)
 
 
-def drop_weaker(atoms: Iterable, cap: int = ATOM_CAP) -> tuple:
+def drop_weaker(atoms: Iterable) -> tuple:
     """Keep only the strongest inequality per direction; equalities and
-    constant atoms pass through.  Raises ResourceLimitError above ``cap``."""
+    constant atoms pass through.  Raises ResourceLimitError past ATOM_CAP."""
     best: dict = {}
     kept = []
     for a in atoms:
@@ -57,13 +59,12 @@ def drop_weaker(atoms: Iterable, cap: int = ATOM_CAP) -> tuple:
         if prev is None or strength > prev[0]:
             best[direction] = (strength, a)
     system = canonicalize(kept + [a for _, a in best.values()])
-    if len(system) > cap:
-        raise ResourceLimitError(f"elimination system exceeded {cap} atoms")
+    if len(system) > ATOM_CAP:
+        raise ResourceLimitError(f"elimination system exceeded {ATOM_CAP} atoms")
     return system
 
 
-def eliminate(system: Sequence, name, cap: int = ATOM_CAP,
-              memo: Optional[dict] = None) -> tuple:
+def eliminate(system: Sequence, name, memo: Optional[dict] = None) -> tuple:
     """Exact projection of the system onto the names other than ``name``.
 
     An equality mentioning the name is substituted into every other atom that
@@ -73,15 +74,15 @@ def eliminate(system: Sequence, name, cap: int = ATOM_CAP,
     all-pairs sweep does) reuse each other's work.
     """
     if memo is None:
-        return _eliminate(system, name, cap)
-    key = (tuple(system), name, cap)
+        return _eliminate(system, name)
+    key = (tuple(system), name)
     done = memo.get(key)
     if done is None:
-        done = memo[key] = _eliminate(key[0], name, cap)
+        done = memo[key] = _eliminate(key[0], name)
     return done
 
 
-def _eliminate(system: Sequence, name, cap: int) -> tuple:
+def _eliminate(system: Sequence, name) -> tuple:
     rest, equalities, lowers, uppers = [], [], [], []
     for a in system:
         c = a.coeff_of(name)
@@ -101,7 +102,7 @@ def _eliminate(system: Sequence, name, cap: int) -> tuple:
         rest += [up.cancel(cu, low, cl,
                            LT if LT in (low.rel, up.rel) else LE)
                  for low, cl in lowers for up, cu in uppers]
-    return drop_weaker(rest, cap)
+    return drop_weaker(rest)
 
 
 def _fewest_occurring(system: Sequence, keep):
@@ -115,7 +116,6 @@ def _fewest_occurring(system: Sequence, keep):
 
 
 def eliminate_all_except(system: Iterable, keep: Iterable,
-                         cap: int = ATOM_CAP,
                          memo: Optional[dict] = None) -> tuple:
     """Project onto ``keep`` (plus the unit), fewest-occurrence order first;
     ``memo`` is passed to every elimination."""
@@ -125,17 +125,16 @@ def eliminate_all_except(system: Iterable, keep: Iterable,
         target = _fewest_occurring(current, keep)
         if target is None:
             return current
-        current = eliminate(current, target, cap, memo)
+        current = eliminate(current, target, memo)
 
 
-def is_infeasible(system: Sequence, cap: int = ATOM_CAP,
-                  memo: Optional[dict] = None) -> bool:
-    """Exact: true iff the system has no real solution.  Stops at the first
-    constant falsehood instead of eliminating every name."""
+def is_infeasible(system: Sequence, memo: Optional[dict] = None) -> bool:
+    """Exact: true iff the system, its rows in any order and repeated or not,
+    has no real solution.  Stops at the first constant falsehood."""
     current = system
     while not has_false_constant(current):
         target = _fewest_occurring(current, ())
         if target is None:
             return False
-        current = eliminate(current, target, cap, memo)
+        current = eliminate(current, target, memo)
     return True

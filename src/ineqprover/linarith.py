@@ -11,8 +11,10 @@ comparisons to rows: ``from_comm`` translates a comparison once and keeps
 the row on it, ``implies`` refutes the negated row, ``prune_entailed`` drops
 comparisons the rest imply (for pair projections and for the blackboard's
 table alike), and ``project_to_pair`` reads projections back as
-comparisons.  Eliminations are memoized in a dict the caller owns and passes
-down to ``elim``; the blackboard keeps one per table version.
+comparisons.  Only a projection, whose row order fixes every report byte,
+sorts and memoizes (in a dict the caller owns, one per table version); an
+entailment check is a yes/no question, so its rows go to the kernel unsorted
+and unmemoized.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Optional, Sequence
 
 from . import comm, elim
 from .comm import EQ, GE, GT, LE, LT, CommAtom, UNIT, make_atom
-from .elim import ATOM_CAP, canonicalize
+from .elim import is_infeasible
 from .terms import Atom
 
 
@@ -189,18 +191,10 @@ def _negations(atom: CommAtom) -> tuple:
     return (below, above) if row.coeff_of(atom.lhs) > 0 else (above, below)
 
 
-def is_infeasible(system: Sequence[LinAtom], cap: int = ATOM_CAP,
-                  memo: Optional[dict] = None) -> bool:
-    """Exact: true iff the system has no rational (equivalently real) solution."""
-    return elim.is_infeasible(canonicalize(system), cap, memo)
-
-
-def implies(system: Sequence[LinAtom], atom: CommAtom,
-            cap: int = ATOM_CAP, memo: Optional[dict] = None) -> bool:
+def implies(system: Sequence[LinAtom], atom: CommAtom) -> bool:
     """Entailment check: every row of the negation of ``atom`` must be
     infeasible together with the system."""
-    base = canonicalize(system)
-    return all(is_infeasible(base + (negated,), cap, memo)
+    return all(is_infeasible((*system, negated))
                for negated in _negations(atom))
 
 
@@ -237,7 +231,6 @@ def _merge_equalities(atoms: list) -> list:
     for i, a in enumerate(atoms):
         if i in consumed or a.rel != LE:
             continue
-        partner = None
         if a.coeff > 0 and a.rhs is not UNIT:
             partner = make_atom(a.rhs, LE, 1 / a.coeff, a.lhs)
         else:
@@ -259,8 +252,7 @@ def _merge_equalities(atoms: list) -> list:
 
 
 def prune_entailed(atoms: Sequence[CommAtom], extra: Sequence[CommAtom] = (),
-                   keep: Optional[CommAtom] = None, cap: int = ATOM_CAP,
-                   memo: Optional[dict] = None) -> list:
+                   keep: Optional[CommAtom] = None) -> list:
     """Drop the atoms implied by the remaining ones and ``extra``, in one
     deterministic pass; ``keep`` is never dropped.
 
@@ -273,7 +265,7 @@ def prune_entailed(atoms: Sequence[CommAtom], extra: Sequence[CommAtom] = (),
     i = 0
     while i < len(kept):
         if kept[i] is not keep and implies(rows[:i] + rows[i + 1:] + extra_rows,
-                                           kept[i], cap, memo):
+                                           kept[i]):
             del kept[i], rows[i]
         else:
             i += 1
@@ -281,18 +273,19 @@ def prune_entailed(atoms: Sequence[CommAtom], extra: Sequence[CommAtom] = (),
 
 
 def project_to_pair(system: Sequence[LinAtom], u: Atom, v: Atom,
-                    cap: int = ATOM_CAP, memo: Optional[dict] = None) -> list:
+                    memo: Optional[dict] = None) -> list:
     """Strongest comparison atoms between u and v entailed by the system.
 
     Returns at most two scaled half-planes relating u and v plus at most two
     constant bounds for each of them; an infeasible system yields the
-    canonical contradictory pair.  ``memo`` is passed to every
-    elimination, so it may be shared by projections of one system.
+    canonical contradictory pair.  ``memo`` is passed to the projection's
+    own eliminations, so it may be shared by projections of one system;
+    the final prune's entailment checks do not use it.
     """
     if u is v:
         raise ValueError("projection needs two distinct names")
-    reduced = elim.eliminate_all_except(system, (u, v), cap, memo)
-    if elim.has_false_constant(reduced) or is_infeasible(reduced, cap, memo):
+    reduced = elim.eliminate_all_except(system, (u, v), memo)
+    if elim.has_false_constant(reduced) or is_infeasible(reduced, memo=memo):
         return comm.contradiction_pair(v if v is not UNIT else u)
     collected: list = []
     if u is UNIT or v is UNIT:
@@ -303,12 +296,12 @@ def project_to_pair(system: Sequence[LinAtom], u: Atom, v: Atom,
         collected.extend(got)
     else:
         # The unit is positive; make that explicit while projecting it away.
-        pair_only = elim.eliminate(reduced + (_UNIT_POSITIVE,), UNIT, cap)
+        pair_only = elim.eliminate(reduced + (_UNIT_POSITIVE,), UNIT)
         for source, names in ((pair_only, (u, v)),
-                              (elim.eliminate(reduced, v, cap, memo), (u, UNIT)),
-                              (elim.eliminate(reduced, u, cap, memo), (v, UNIT))):
+                              (elim.eliminate(reduced, v, memo), (u, UNIT)),
+                              (elim.eliminate(reduced, u, memo), (v, UNIT))):
             got = _atoms_from_two_names(source, *names)
             if got is None:
                 return comm.contradiction_pair(v)
             collected.extend(got)
-    return prune_entailed(_merge_equalities(collected), cap=cap, memo=memo)
+    return prune_entailed(_merge_equalities(collected))

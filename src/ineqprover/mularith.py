@@ -248,7 +248,7 @@ class MultAtom:
 
     def coeff_of(self, name: Atom) -> int:
         for atom, e in self.coeffs:
-            if atom is name or atom == name:
+            if atom is name:  # a problem's bank makes one Atom per name
                 return e
         return 0
 
@@ -306,9 +306,8 @@ def mult_atom(monomial: Mapping[Atom, int], rel: str, bound) -> MultAtom:
 
 
 def _signed_view(name: Atom, env: SignEnv) -> Optional[int]:
-    """+1/-1 when the magnitude of a name is usable in the cone, else None."""
-    if name is UNIT:
-        return 1
+    """+1/-1 when the magnitude of a name is usable in the cone, else None.
+    A SignEnv holds the unit as positive."""
     if env.get(name) == POS:
         return 1
     if env.get(name) == NEG:
@@ -354,16 +353,12 @@ def _comparison_to_cone(atom: CommAtom, env: SignEnv):
         return True if ok else False
     sign_rhs = sy * (1 if atom.coeff > 0 else -1)
     magnitude = abs(atom.coeff)
-    lhs_mono = {} if atom.lhs is UNIT else {atom.lhs: 1}
-    rhs_mono = {} if atom.rhs is UNIT else {atom.rhs: 1}
     if sx == sign_rhs:
+        # make_atom keeps the unit off the left and folds self-comparisons.
         rel = atom.rel if sx > 0 else comm.mirror(atom.rel)
-        combined = dict(lhs_mono)
-        for a, e in rhs_mono.items():
-            combined[a] = combined.get(a, 0) - e
-        if not combined and atom.lhs is not atom.rhs:
-            # both sides are the unit; constant comparison
-            return comm.holds(Fraction(1), rel, magnitude)
+        combined = {atom.lhs: 1}
+        if atom.rhs is not UNIT:
+            combined[atom.rhs] = -1
         return mult_atom(combined, rel, magnitude)
     if sx < sign_rhs:  # negative versus positive quantity
         return True if atom.rel in (LT, LE) else False
@@ -493,7 +488,7 @@ def _emit(u: Atom, v: Atom, su: int, sv: int, rel: str, q: Fraction,
 
 
 def project_to_ratio(atoms: Sequence[MultAtom], u: Atom, v: Atom,
-                     env: Optional[SignEnv] = None,
+                     env: SignEnv,
                      max_den: int = ROOT_DENOM_BOUND,
                      approx_sink: Optional[list] = None) -> list:
     """Strongest derivable bounds on the ratio of u to v (v may be the unit).
@@ -503,7 +498,6 @@ def project_to_ratio(atoms: Sequence[MultAtom], u: Atom, v: Atom,
     are replaced by sound rational bounds.  Atoms recorded in ``approx_sink``
     carry approximated constants.
     """
-    env = env or SignEnv()
     su = _signed_view(u, env)
     sv = _signed_view(v, env)
     if su is None or sv is None:

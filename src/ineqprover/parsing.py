@@ -66,14 +66,19 @@ def _tokenize(text: str, line: int, start_col: int = 1) -> List[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # the digits int() reads; isdigit() takes "²"
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j < n and text[j] == ".":
                 raise ParseError(
                     "decimal literals are not supported; write an exact "
                     "rational like 7/2", line, col)
+            try:
+                int(text[i:j])
+            except ValueError:  # beyond the interpreter's digit limit
+                raise ParseError(f"integer literal of {j - i} digits is too "
+                                 "long", line, col) from None
             tokens.append(_Token("NUM", text[i:j], line, col))
             i = j
             continue

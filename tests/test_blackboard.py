@@ -337,10 +337,10 @@ def test_derived_atoms_are_entailed_by_the_hypotheses():
 
 def test_resource_limit_is_a_verdict():
     state = B.separate_terms([(x, LT, y)])
-    from ineqprover import linarith
-    original = linarith.ATOM_CAP
+    from ineqprover import elim, linarith
+    original = elim.ATOM_CAP
 
-    def tiny_project(system, a, b, cap=linarith.ATOM_CAP, memo=None):
+    def tiny_project(system, a, b, memo=None):
         raise comm.ResourceLimitError("forced")
 
     real = linarith.project_to_pair
@@ -350,7 +350,7 @@ def test_resource_limit_is_a_verdict():
     finally:
         linarith.project_to_pair = real
     assert verdict.kind == B.RESOURCE_LIMIT
-    assert original == linarith.ATOM_CAP
+    assert original == elim.ATOM_CAP
 
 
 def test_elimination_memo_lives_one_table_version(capsys, monkeypatch):

@@ -91,6 +91,38 @@ def test_parse_errors_exit_two(capsys, tmp_path):
     assert code == 2 and "undeclared" in err
 
 
+# The interpreter's limit on converting digit strings to int; 0 means none.
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _assert_input_error(code, out, err, where):
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {where}") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr, where", [
+    # "\u00b2" passes str.isdigit() but not int().
+    pytest.param("\u00b2", "line 1, column 1: unexpected character",
+                 id="superscript"),
+    pytest.param("x^1\u00b2", "line 1, column 4: unexpected character",
+                 id="superscript-exponent"),
+    pytest.param("x + " + "7" * (INT_DIGIT_LIMIT + 1),
+                 "line 1, column 5: integer literal", id="over-long-literal",
+                 marks=pytest.mark.skipif(not INT_DIGIT_LIMIT,
+                                          reason="no integer digit limit")),
+])
+def test_unreadable_numbers_exit_two(expr, where, capsys):
+    _assert_input_error(*run_cli(capsys, "normalize", expr), where)
+
+
+def test_non_utf8_problem_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.prob"
+    path.write_bytes("assume: 0 < x\nassume: x < \u00e9\n".encode("latin-1"))
+    _assert_input_error(*run_cli(capsys, "prove", str(path)),
+                        f"{path}: line 2, column 13: not UTF-8")
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run_cli(capsys, "prove", "/nonexistent/x.prob")
     assert code == 2

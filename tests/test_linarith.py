@@ -86,6 +86,50 @@ def test_is_infeasible_agrees_with_vertex_oracle():
     assert run_oracle_agreement(80, seed=1001) == 0
 
 
+def test_checks_ignore_row_order_repeats_and_true_rows():
+    # implies and is_infeasible take their rows unsorted: a shuffled context
+    # with repeated rows and trivially true rows gets the oracle's answer
+    # for the plain system.
+    rng = random.Random(808)
+    _, names = _bank_vars("x", "y", "z")
+    true_rows = [L.lin_atom({UNIT: -1}, LT), L.lin_atom({}, LE)]
+    answers = {True: 0, False: 0}
+    for _ in range(100):
+        system = list(oracles.random_lin_system(rng, names, max_atoms=5))
+        context = system + rng.choices(system, k=2) + true_rows
+        rng.shuffle(context)
+        assert L.is_infeasible(context) == (not oracles.oracle_feasible(system))
+        lhs = rng.choice(names)
+        rhs = rng.choice([UNIT, *(n for n in names if n is not lhs)])
+        atoms = [make_atom(lhs, rng.choice([LT, LE, EQ, GE, GT]),
+                           oracles.random_rational(rng), rhs)]
+        if oracles.oracle_feasible(system):
+            atoms += L.project_to_pair(system, names[0], names[1])
+        for atom in atoms:
+            entailed = not any(oracles.oracle_feasible(system + [L.from_comm(n)])
+                               for n in oracles.negations(atom))
+            assert L.implies(context, atom) == entailed, (system, atom)
+            answers[entailed] += 1
+    assert min(answers.values()) > 20, answers
+
+
+def test_projection_memo_holds_only_its_own_elimination_chain():
+    # Every memo key starts from the canonical input or from an earlier
+    # elimination's result; the final prune's checks leave no keys.
+    _, (u, v, w) = _bank_vars("u", "v", "w")
+    system = [
+        L.lin_atom({u: 1, w: -1, UNIT: -1}, LE),  # u <= w + 1
+        L.lin_atom({w: 1, v: -2}, LT),  # w < 2v
+        L.lin_atom({v: 1, w: 1, UNIT: 3}, LE),  # v + w <= -3
+        L.lin_atom({u: -1, v: 1, w: 1}, LE),  # v + w <= u
+        L.lin_atom({w: -1, UNIT: -5}, LT),  # w > -5
+    ]
+    memo: dict = {}
+    assert L.project_to_pair(system, u, v, memo=memo)
+    own = {elim.canonicalize(system), *memo.values()}
+    assert memo and [key for key in memo if key[0] not in own] == []
+
+
 def test_projection_is_sound():
     rng = random.Random(4040)
     _, names = _bank_vars("x", "y", "z", "w")
@@ -267,7 +311,8 @@ def test_pair_projection_maximality_under_perturbation():
 
 # --- limits ----------------------------------------------------------------------
 
-def test_atom_cap_aborts_with_resource_limit():
+def test_atom_cap_aborts_with_resource_limit(monkeypatch):
+    monkeypatch.setattr(elim, "ATOM_CAP", 40)
     rng = random.Random(3)
     bank = T.TermBank()
     names = [bank.var(f"v{i}") for i in range(8)]
@@ -278,7 +323,7 @@ def test_atom_cap_aborts_with_resource_limit():
         combo[UNIT] = oracles.random_rational(rng)
         atoms.append(L.lin_atom(combo, LT))
     with pytest.raises(comm.ResourceLimitError):
-        elim.eliminate_all_except(elim.canonicalize(atoms), set(), cap=40)
+        elim.eliminate_all_except(elim.canonicalize(atoms), set())
 
 
 def test_subsumed_scalar_multiples_are_dropped():
