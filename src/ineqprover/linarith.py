@@ -1,4 +1,5 @@
-"""Exact linear arithmetic over the rationals: Fourier-Motzkin elimination.
+"""Exact linear arithmetic over the rationals: Fourier-Motzkin elimination
+and a planar feasibility check.
 
 Atoms have the sense ``sum of coeff*name REL 0`` with REL one of ``< <= =``.
 The reserved unit name carries the constant part and is never eliminated, so
@@ -12,9 +13,14 @@ the row on it, ``implies`` refutes the negated row, ``prune_entailed`` drops
 comparisons the rest imply (for pair projections and for the blackboard's
 table alike), and ``project_to_pair`` reads projections back as
 comparisons.  Only a projection, whose row order fixes every report byte,
-sorts and memoizes (in a dict the caller owns, one per table version); an
-entailment check is a yes/no question, so its rows go to the kernel unsorted
-and unmemoized.
+sorts and memoizes (in a dict the caller owns, one per table version).
+
+An entailment check is a yes/no question about at most two names besides
+the unit.  ``is_infeasible`` answers it on integer triples: it eliminates
+one name and folds the resulting rows into the tightest bounds on the
+other, with no atoms, gcds or sorting; three or more names go to the
+kernel.  The projection's own feasibility test uses the kernel, under the
+projection's memo.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from typing import Optional, Sequence
 
 from . import comm, elim
 from .comm import EQ, GE, GT, LE, LT, CommAtom, UNIT, make_atom
-from .elim import is_infeasible
 from .terms import Atom
 
 
@@ -191,6 +196,93 @@ def _negations(atom: CommAtom) -> tuple:
     return (below, above) if row.coeff_of(atom.lhs) > 0 else (above, below)
 
 
+def is_infeasible(system: Sequence[LinAtom]) -> bool:
+    """Exact: true iff the rows, in any order and repeated or not, have no
+    common real solution.
+
+    Rows over at most two names besides the unit, ``a`` and ``b`` in the
+    order met, are read once into integer triples ``(ca, cb, c0, rel)`` for
+    ``ca*a + cb*b + c0 REL 0`` and decided in the plane; with three or more
+    names the FM kernel decides.
+    """
+    a = b = None
+    triples = []
+    for row in system:
+        ca = cb = c0 = 0
+        for name, c in row.coeffs:
+            if name is UNIT:
+                c0 = c
+            elif name is a or a is None:
+                a, ca = name, c
+            elif name is b or b is None:
+                b, cb = name, c
+            else:
+                return elim.is_infeasible(system)
+        triples.append((ca, cb, c0, row.rel))
+    return _planar_infeasible(triples)
+
+
+def _planar_infeasible(triples: list) -> bool:
+    """Eliminate ``a`` and fold every resulting row into the tightest lower
+    and upper bound on ``b``, each ``(num, den, strict)`` with ``den > 0``
+    and compared by cross-multiplying; an equality is both bounds."""
+    lower = upper = None
+    for cb, c0, rel in _without_a(triples):
+        if cb == 0:
+            if not comm.holds(c0, rel, 0):
+                return True
+            continue
+        num, den = (-c0, cb) if cb > 0 else (c0, -cb)
+        strict = rel == LT
+        if cb > 0 or rel == EQ:
+            if upper is None:
+                upper = (num, den, strict)
+            else:
+                d = num * upper[1] - upper[0] * den
+                if d < 0 or (d == 0 and strict):
+                    upper = (num, den, strict)
+        if cb < 0 or rel == EQ:
+            if lower is None:
+                lower = (num, den, strict)
+            else:
+                d = num * lower[1] - lower[0] * den
+                if d > 0 or (d == 0 and strict):
+                    lower = (num, den, strict)
+    if lower is None or upper is None:
+        return False
+    d = lower[0] * upper[1] - upper[0] * lower[1]
+    return d > 0 or (d == 0 and (lower[2] or upper[2]))
+
+
+def _without_a(triples: list):
+    """The rows ``(cb, c0, rel)`` of the projection onto ``b``, one at a
+    time: an equality on ``a`` is substituted into every row, or else each
+    lower bound on ``a`` is combined with each upper bound, strict when
+    either is."""
+    eq = next((t for t in triples if t[0] and t[3] == EQ), None)
+    if eq is not None:
+        ea, eb, e0, _ = eq if eq[0] > 0 else (-eq[0], -eq[1], -eq[2], EQ)
+        for t in triples:
+            ca, cb, c0, rel = t
+            if not ca:
+                yield cb, c0, rel
+            elif t is not eq:
+                yield ea * cb - ca * eb, ea * c0 - ca * e0, rel
+        return
+    lowers, uppers = [], []
+    for ca, cb, c0, rel in triples:
+        if not ca:
+            yield cb, c0, rel
+        elif ca > 0:
+            uppers.append((ca, cb, c0, rel))
+        else:
+            lowers.append((-ca, cb, c0, rel))
+    for la, lb, l0, lrel in lowers:
+        for ua, ub, u0, urel in uppers:
+            yield (ua * lb + la * ub, ua * l0 + la * u0,
+                   LT if LT in (lrel, urel) else LE)
+
+
 def implies(system: Sequence[LinAtom], atom: CommAtom) -> bool:
     """Entailment check: every row of the negation of ``atom`` must be
     infeasible together with the system."""
@@ -285,7 +377,8 @@ def project_to_pair(system: Sequence[LinAtom], u: Atom, v: Atom,
     if u is v:
         raise ValueError("projection needs two distinct names")
     reduced = elim.eliminate_all_except(system, (u, v), memo)
-    if elim.has_false_constant(reduced) or is_infeasible(reduced, memo=memo):
+    if (elim.has_false_constant(reduced)
+            or elim.is_infeasible(reduced, memo=memo)):
         return comm.contradiction_pair(v if v is not UNIT else u)
     collected: list = []
     if u is UNIT or v is UNIT:

@@ -18,6 +18,7 @@ quantities known to be nonzero).  Evaluation follows the convention
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -690,7 +691,11 @@ def _eval_preterm(p: Preterm, assignment, funcs) -> Fraction:
 
 
 def _frac_str(q: Fraction) -> str:
-    return str(q)
+    try:
+        return str(q)
+    except ValueError:  # beyond the interpreter's digit limit
+        raise TermError("constant too large to print: more than "
+                        f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _render_factor_base(p: Preterm) -> str:

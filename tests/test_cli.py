@@ -93,6 +93,8 @@ def test_parse_errors_exit_two(capsys, tmp_path):
 
 # The interpreter's limit on converting digit strings to int; 0 means none.
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_NEEDS_DIGIT_LIMIT = pytest.mark.skipif(not INT_DIGIT_LIMIT,
+                                        reason="no integer digit limit")
 
 
 def _assert_input_error(code, out, err, where):
@@ -109,11 +111,25 @@ def _assert_input_error(code, out, err, where):
                  id="superscript-exponent"),
     pytest.param("x + " + "7" * (INT_DIGIT_LIMIT + 1),
                  "line 1, column 5: integer literal", id="over-long-literal",
-                 marks=pytest.mark.skipif(not INT_DIGIT_LIMIT,
-                                          reason="no integer digit limit")),
+                 marks=_NEEDS_DIGIT_LIMIT),
 ])
 def test_unreadable_numbers_exit_two(expr, where, capsys):
     _assert_input_error(*run_cli(capsys, "normalize", expr), where)
+
+
+@_NEEDS_DIGIT_LIMIT
+def test_computed_constant_past_digit_limit_exits_two(capsys):
+    # Every literal is short; the normal form's constant is not.
+    _assert_input_error(*run_cli(capsys, "normalize", "10^5000"),
+                        "constant too large to print")
+
+
+@_NEEDS_DIGIT_LIMIT
+def test_hypothesis_with_huge_constant_exits_two(tmp_path, capsys):
+    path = tmp_path / "huge.prob"
+    path.write_text("refute: x > 10^5000\n")
+    _assert_input_error(*run_cli(capsys, "refute", str(path)),
+                        "constant too large to print")
 
 
 def test_non_utf8_problem_file_exits_two(tmp_path, capsys):

@@ -113,6 +113,115 @@ def test_checks_ignore_row_order_repeats_and_true_rows():
     assert min(answers.values()) > 20, answers
 
 
+# --- the planar check ------------------------------------------------------------
+
+BIG = 2**64 + 13  # coefficients past a machine word
+
+def _planar_row(rng, names, point):
+    """A random row over ``names``, often tight at ``point`` so regions
+    shrink to a point or a segment; sometimes with huge coefficients."""
+    combo = {}
+    for name in rng.sample(names, rng.randint(1, len(names))):
+        c = rng.choice([1, 2, 3, BIG, BIG + 2]) * rng.choice([-1, 1])
+        combo[name] = Q(c, rng.randint(1, 3))
+    value = sum(c * point[n] for n, c in combo.items())
+    combo[UNIT] = -value + rng.choice([0, 0, 0, Q(-1, 2), 1])
+    return L.lin_atom(combo, rng.choice([LT, LE, LE, EQ]))
+
+
+def _planar_system(rng, names):
+    point = {n: oracles.random_rational(rng) for n in names}
+    rows = [_planar_row(rng, names, point) for _ in range(rng.randint(0, 6))]
+    if rows and rng.random() < 0.3:  # the opposite of a row, shifted
+        row = rng.choice(rows)
+        flipped = {n: -c for n, c in row.coeffs}
+        flipped[UNIT] = flipped.get(UNIT, 0) + rng.choice([-1, 0, 1])
+        rows.append(L.lin_atom(flipped, rng.choice([LT, LE])))
+    if rng.random() < 0.2:
+        rows.append(L.lin_atom({UNIT: rng.choice([-1, 0, 1])},
+                               rng.choice([LT, LE, EQ])))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_planar_check_on_chosen_regions():
+    _, (x, y) = _bank_vars("x", "y")
+    row = L.lin_atom
+    cases = [  # (rows, infeasible)
+        ([], False),
+        ([row({UNIT: 1}, LT)], True),  # 1 < 0
+        ([row({UNIT: -1}, LE), row({}, EQ)], False),  # rows of the unit only
+        ([row({x: 1, UNIT: -1}, LE), row({x: -1, UNIT: 1}, LE),
+          row({y: 1, x: -1}, LE), row({y: -1, x: 1}, LE)],
+         False),  # the point x = y = 1
+        ([row({x: 1, UNIT: -1}, LE), row({x: -1, UNIT: 1}, LT)],
+         True),  # x <= 1 < x
+        ([row({x: 1, y: -1}, EQ), row({x: -1}, LE), row({x: 1, UNIT: -1}, LE)],
+         False),  # the segment x = y in [0, 1]
+        ([row({x: 1, y: -1}, EQ), row({x: 1, y: -1, UNIT: -1}, EQ)],
+         True),  # parallel lines
+        # Opposite parallel rows: x + y < 1 < x + y, x + y = 1, 2 <= x + y <= 1.
+        ([row({x: 1, y: 1, UNIT: -1}, LT), row({x: -1, y: -1, UNIT: 1}, LT)],
+         True),
+        ([row({x: 1, y: 1, UNIT: -1}, LE), row({x: -1, y: -1, UNIT: 1}, LE)],
+         False),
+        ([row({x: 1, y: 1, UNIT: -1}, LE), row({x: -1, y: -1, UNIT: 2}, LE)],
+         True),
+        ([row({x: BIG, y: 1 - BIG, UNIT: -1}, LT),
+          row({x: -BIG, y: BIG - 1, UNIT: 1}, LE)], True),
+        ([row({x: BIG, y: -3}, LE), row({x: -BIG, y: 3, UNIT: -1}, LE),
+          row({y: 1, UNIT: -1}, EQ)], False),
+    ]
+    for rows, infeasible in cases:
+        assert L.is_infeasible(rows) == infeasible, rows
+        assert elim.is_infeasible(rows) == infeasible, rows
+        assert oracles.oracle_feasible(rows) != infeasible, rows
+
+
+def test_planar_check_agrees_with_kernel_and_oracle():
+    rng = random.Random(4242)
+    _, (x, y) = _bank_vars("x", "y")
+    answers = {True: 0, False: 0}
+    for i in range(600):
+        rows = _planar_system(rng, [x, y] if i % 3 else [x])
+        answer = L.is_infeasible(rows)
+        assert answer == elim.is_infeasible(rows), rows
+        assert answer != oracles.oracle_feasible(rows), rows
+        answers[answer] += 1
+    assert min(answers.values()) > 150, answers
+
+
+def test_three_names_fall_back_to_the_kernel(monkeypatch):
+    _, (x, y, z) = _bank_vars("x", "y", "z")
+    rows = [L.lin_atom({x: 1, y: -1}, LT), L.lin_atom({y: 1, z: -1}, LT),
+            L.lin_atom({z: 1, x: -1}, LE)]  # x < y < z <= x
+    calls = []
+    kernel = elim.is_infeasible
+    monkeypatch.setattr(elim, "is_infeasible",
+                        lambda system: calls.append(system) or kernel(system))
+    assert L.is_infeasible(rows)
+    assert calls == [rows]
+
+
+def test_pair_checks_never_reach_the_kernel(monkeypatch):
+    # implies and prune_entailed decide pair contexts in the plane; only the
+    # projection's own feasibility test calls the FM kernel's check.
+    _, (x, y) = _bank_vars("x", "y")
+    atoms = [make_atom(x, LT, Q(2), y), make_atom(x, LE, Q(3), y),
+             make_atom(x, GT, Q(1), UNIT), make_atom(y, LT, Q(5), UNIT)]
+    system = [L.from_comm(a) for a in atoms]
+
+    def kernel(*args, **kwargs):
+        raise AssertionError("FM kernel called")
+
+    monkeypatch.setattr(elim, "is_infeasible", kernel)
+    assert L.implies(system, make_atom(x, LT, Q(10), UNIT))
+    assert not L.implies(system, make_atom(x, LT, Q(1), y))
+    assert L.prune_entailed(atoms) == [atoms[0], atoms[2], atoms[3]]
+    with pytest.raises(AssertionError, match="FM kernel called"):
+        L.project_to_pair(system, x, y)
+
+
 def test_projection_memo_holds_only_its_own_elimination_chain():
     # Every memo key starts from the canonical input or from an earlier
     # elimination's result; the final prune's checks leave no keys.
