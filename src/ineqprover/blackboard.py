@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from . import comm, elim, linarith, monofun, mularith, terms
@@ -28,6 +29,9 @@ REFUTED = "refuted"
 SATURATED = "saturated"
 ROUND_CAP = "round-cap-reached"
 RESOURCE_LIMIT = "resource-limit"
+
+#: Default round cap.
+MAX_ROUNDS = 30
 
 _NEGATED = {LT: GE, LE: GT, GT: LE, GE: LT}
 
@@ -332,14 +336,6 @@ def _live_names(snap: Snapshot, defined: Iterable[Atom]) -> list:
     return sorted(seen, key=lambda a: a.index)
 
 
-def _pairs_of(names: Sequence[Atom]) -> list:
-    out = []
-    for i, u in enumerate(names):
-        for v in names[i + 1:]:
-            out.append((u, v))
-    return out
-
-
 def _sign_pass(state: ProblemState) -> bool:
     changed = False
     snap = state.snapshot()
@@ -366,7 +362,7 @@ def _add_pass(state: ProblemState, force_all: bool) -> bool:
     defined = [UNIT, *state.defs_add]
     for entries in state.defs_add.values():
         defined.extend(n for _, n in entries)
-    for u, v in _pairs_of(_live_names(state.snapshot(), defined)):
+    for u, v in combinations(_live_names(state.snapshot(), defined), 2):
         if state.refuted:
             return True
         if not force_all and not state._dirty("add", u, v):
@@ -387,8 +383,7 @@ def _mult_pass(state: ProblemState, force_all: bool) -> bool:
         defined.extend(monomial)
     names = [n for n in _live_names(state.snapshot(), defined)
              if n is not UNIT and state.signs.in_cone(n)]
-    pair_list = _pairs_of(names) + [(n, UNIT) for n in names]
-    for u, v in pair_list:
+    for u, v in [*combinations(names, 2), *((n, UNIT) for n in names)]:
         if state.refuted:
             return True
         if not force_all and not state._dirty("mult", u, v):
@@ -406,8 +401,7 @@ def _mult_pass(state: ProblemState, force_all: bool) -> bool:
             max_den=state.root_denom_bound, approx_sink=approx)
         state._mark_visited("mult", u, v)
         for atom in derived:
-            note = "root bound approximated" if (not isinstance(atom, bool)
-                                                 and atom in approx) else ""
+            note = "root bound approximated" if atom in approx else ""
             changed |= state.assert_comm_atom(atom, "mult", snap.premises,
                                               snap.atoms, note=note)
     return changed
@@ -444,7 +438,7 @@ def run_round(state: ProblemState, force_all: bool = False) -> bool:
     return changed or state.refuted
 
 
-def refute(state: ProblemState, cap: int = 30) -> Verdict:
+def refute(state: ProblemState, cap: int = MAX_ROUNDS) -> Verdict:
     """Iterate rounds until contradiction, fixpoint, or the round cap.
 
     A fixpoint seen through the dirty-pair filter is confirmed by one full
@@ -477,7 +471,7 @@ def _verdict_for(state: ProblemState, kind: str) -> Verdict:
 
 def refute_hypotheses(hypotheses: Sequence[tuple],
                       decls: Optional[Mapping[str, MonoDecl]] = None,
-                      cap: int = 30,
+                      cap: int = MAX_ROUNDS,
                       root_denom_bound: int = ROOT_DENOM_BOUND) -> Verdict:
     state = separate_terms(hypotheses, decls, root_denom_bound)
     return refute(state, cap)
@@ -485,7 +479,7 @@ def refute_hypotheses(hypotheses: Sequence[tuple],
 
 def prove_sequent(hypotheses: Sequence[tuple], goal: tuple,
                   decls: Optional[Mapping[str, MonoDecl]] = None,
-                  cap: int = 30,
+                  cap: int = MAX_ROUNDS,
                   root_denom_bound: int = ROOT_DENOM_BOUND) -> Verdict:
     """Negate the goal and refute.  An equality goal splits into two
     refutation tasks, and proving requires both to succeed."""

@@ -17,13 +17,12 @@ import sys
 from typing import Optional, Sequence
 
 from . import blackboard, terms
-from .blackboard import REFUTED, RESOURCE_LIMIT, ROUND_CAP, SATURATED, Verdict
+from .blackboard import (MAX_ROUNDS, REFUTED, RESOURCE_LIMIT, ROUND_CAP,
+                         SATURATED, Verdict)
 from .mularith import ROOT_DENOM_BOUND
 from .parsing import ParseError, ProblemFile, parse_expression, parse_problem
 from .report import emit_report
 from .terms import TermError
-
-DEFAULT_MAX_ROUNDS = 30
 
 _UNKNOWN_TEXT = {
     SATURATED: "saturated",
@@ -54,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_run_flags(p):
         p.add_argument("--max-rounds", type=int, default=None, metavar="N",
-                       help=f"round cap (default {DEFAULT_MAX_ROUNDS})")
+                       help=f"round cap (default {MAX_ROUNDS})")
         p.add_argument("--root-denom-bound", type=int, default=None,
                        metavar="N",
                        help="denominator cap for root approximations "
@@ -137,7 +136,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command in ("prove", "refute"):
             problem = _load_problem(args.file)
-            cap = _resolve("max-rounds", args, problem, DEFAULT_MAX_ROUNDS)
+            cap = _resolve("max-rounds", args, problem, MAX_ROUNDS)
             denom = _resolve("root-denom-bound", args, problem,
                              ROOT_DENOM_BOUND)
             if args.command == "prove":

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .terms import Atom, rational
+from .terms import Atom, _frac_str, rational
 
 LT, LE, EQ, GT, GE = "<", "<=", "=", ">", ">="
 RELS = (LT, LE, EQ, GT, GE)
@@ -82,19 +82,21 @@ class CommAtom:
 
     def __str__(self) -> str:
         if self.rhs is UNIT:
-            return f"{self.lhs.label} {self.rel} {self.coeff}"
+            return f"{self.lhs.label} {self.rel} {_frac_str(self.coeff)}"
         if self.coeff == 1:
             return f"{self.lhs.label} {self.rel} {self.rhs.label}"
         if self.coeff == -1:
             return f"{self.lhs.label} {self.rel} -{self.rhs.label}"
-        return f"{self.lhs.label} {self.rel} {self.coeff} * {self.rhs.label}"
+        return (f"{self.lhs.label} {self.rel} {_frac_str(self.coeff)} * "
+                f"{self.rhs.label}")
 
 
 AtomOrBool = Union[CommAtom, bool]
 
 
 def make_atom(lhs: Atom, rel: str, coeff, rhs: Atom) -> AtomOrBool:
-    """Canonicalize ``lhs rel coeff*rhs``; returns True/False when constant.
+    """Canonicalize ``lhs rel coeff*rhs``: True/False when constant, which
+    needs the unit or ``rhs`` itself on the left, else a CommAtom.
 
     Canonical form: the unit is only ever a right-hand side; a pair atom with
     positive coefficient uses one of ``< <= =`` (reorienting when needed); a

@@ -15,10 +15,11 @@ either kind read ``sum(coeff * name) REL bound-part`` with REL one of
   where a larger strength is a stronger bound in that direction, or None.
 
 The reserved unit name is a constant of both groups and is never chosen for
-elimination by the drivers below.  A system past ``ATOM_CAP`` atoms raises
-ResourceLimitError.  ``eliminate`` and the drivers take an optional ``memo``
-dict owned by the caller, keyed by ``(system, name)``; nothing is cached in
-the module.
+elimination.  A system past ``ATOM_CAP`` atoms raises ResourceLimitError.
+``eliminate`` and ``eliminate_all_except`` take an optional ``memo`` dict
+owned by the caller, keyed by ``(system, name)``; nothing is cached in the
+module.  ``is_infeasible`` decides any number of names; the engine's own
+questions, over at most two, are decided in the plane by ``linarith``.
 """
 
 from __future__ import annotations
@@ -128,13 +129,7 @@ def eliminate_all_except(system: Iterable, keep: Iterable,
         current = eliminate(current, target, memo)
 
 
-def is_infeasible(system: Sequence, memo: Optional[dict] = None) -> bool:
+def is_infeasible(system: Sequence) -> bool:
     """Exact: true iff the system, its rows in any order and repeated or not,
-    has no real solution.  Stops at the first constant falsehood."""
-    current = system
-    while not has_false_constant(current):
-        target = _fewest_occurring(current, ())
-        if target is None:
-            return False
-        current = eliminate(current, target, memo)
-    return True
+    has no real solution."""
+    return has_false_constant(eliminate_all_except(system, ()))

@@ -19,8 +19,9 @@ An entailment check is a yes/no question about at most two names besides
 the unit.  ``is_infeasible`` answers it on integer triples: it eliminates
 one name and folds the resulting rows into the tightest bounds on the
 other, with no atoms, gcds or sorting; three or more names go to the
-kernel.  The projection's own feasibility test uses the kernel, under the
-projection's memo.
+kernel.  A projection decides its reduced system over the pair the same
+way, so the kernel only eliminates there, and every system it reads back
+is feasible.
 """
 
 from __future__ import annotations
@@ -294,30 +295,26 @@ _UNIT_POSITIVE = lin_atom({UNIT: -1}, LT)
 
 
 def _atoms_from_two_names(system: Sequence[LinAtom], u: Atom, v: Atom) -> list:
-    """Read ``alpha*u + beta*v REL 0`` atoms off as comparison atoms."""
+    """Read the rows ``alpha*u + beta*v REL 0`` of a feasible canonical
+    system off as comparison atoms.  No such row is constant, and ``alpha``
+    is nonzero whenever ``v`` is the unit."""
     out = []
     for a in system:
         alpha = a.coeff_of(u)
         beta = a.coeff_of(v)
-        if alpha == 0 and beta == 0:
-            continue
         if alpha == 0:
-            made = make_atom(v, a.rel, Fraction(0), UNIT) if beta > 0 else \
-                make_atom(v, comm.mirror(a.rel), Fraction(0), UNIT)
-        elif alpha > 0:
-            made = make_atom(u, a.rel, Fraction(-beta, alpha), v)
+            rel = a.rel if beta > 0 else comm.mirror(a.rel)
+            out.append(make_atom(v, rel, Fraction(0), UNIT))
         else:
-            made = make_atom(u, comm.mirror(a.rel), Fraction(-beta, alpha), v)
-        if made is False:
-            return None  # the projected system contains a falsehood
-        if made is not True:
-            out.append(made)
+            rel = a.rel if alpha > 0 else comm.mirror(a.rel)
+            out.append(make_atom(u, rel, Fraction(-beta, alpha), v))
     return out
 
 
 def _merge_equalities(atoms: list) -> list:
     """Collapse matching <=/>= half-planes into a single equality atom."""
     atoms = list(dict.fromkeys(atoms))
+    position = {a: i for i, a in enumerate(atoms)}
     result = []
     consumed = set()
     for i, a in enumerate(atoms):
@@ -327,19 +324,11 @@ def _merge_equalities(atoms: list) -> list:
             partner = make_atom(a.rhs, LE, 1 / a.coeff, a.lhs)
         else:
             partner = make_atom(a.lhs, GE, a.coeff, a.rhs)
-        if isinstance(partner, bool):
-            continue
-        for j, b in enumerate(atoms):
-            if j != i and j not in consumed and b == partner:
-                merged = make_atom(a.lhs, EQ, a.coeff, a.rhs)
-                if not isinstance(merged, bool):
-                    result.append(merged)
-                consumed.add(i)
-                consumed.add(j)
-                break
-    for i, a in enumerate(atoms):
-        if i not in consumed:
-            result.append(a)
+        j = position.get(partner)
+        if j is not None and j not in consumed:
+            result.append(make_atom(a.lhs, EQ, a.coeff, a.rhs))
+            consumed.update((i, j))
+    result.extend(a for i, a in enumerate(atoms) if i not in consumed)
     return result
 
 
@@ -370,31 +359,24 @@ def project_to_pair(system: Sequence[LinAtom], u: Atom, v: Atom,
 
     Returns at most two scaled half-planes relating u and v plus at most two
     constant bounds for each of them; an infeasible system yields the
-    canonical contradictory pair.  ``memo`` is passed to the projection's
-    own eliminations, so it may be shared by projections of one system;
-    the final prune's entailment checks do not use it.
+    canonical contradictory pair.  The reduced system over u, v and the unit
+    is decided in the plane, so every system read afterwards is feasible.
+    ``memo`` is passed to the projection's eliminations, so it may be shared
+    by projections of one system; the checks do not use it.
     """
     if u is v:
         raise ValueError("projection needs two distinct names")
     reduced = elim.eliminate_all_except(system, (u, v), memo)
-    if (elim.has_false_constant(reduced)
-            or elim.is_infeasible(reduced, memo=memo)):
+    if is_infeasible(reduced):
         return comm.contradiction_pair(v if v is not UNIT else u)
-    collected: list = []
     if u is UNIT or v is UNIT:
-        x = v if u is UNIT else u
-        got = _atoms_from_two_names(reduced, x, UNIT)
-        if got is None:
-            return comm.contradiction_pair(x)
-        collected.extend(got)
+        collected = _atoms_from_two_names(reduced, v if u is UNIT else u, UNIT)
     else:
         # The unit is positive; make that explicit while projecting it away.
         pair_only = elim.eliminate(reduced + (_UNIT_POSITIVE,), UNIT)
-        for source, names in ((pair_only, (u, v)),
-                              (elim.eliminate(reduced, v, memo), (u, UNIT)),
-                              (elim.eliminate(reduced, u, memo), (v, UNIT))):
-            got = _atoms_from_two_names(source, *names)
-            if got is None:
-                return comm.contradiction_pair(v)
-            collected.extend(got)
+        collected = (_atoms_from_two_names(pair_only, u, v)
+                     + _atoms_from_two_names(elim.eliminate(reduced, v, memo),
+                                             u, UNIT)
+                     + _atoms_from_two_names(elim.eliminate(reduced, u, memo),
+                                             v, UNIT))
     return prune_entailed(_merge_equalities(collected))

@@ -118,8 +118,7 @@ def sign_fact_atom(name: Atom, signs: frozenset) -> Optional[CommAtom]:
     rel = {POS: GT, NEG: LT, ZERO: EQ, NONNEG: GE, NONPOS: LE}.get(signs)
     if rel is None or name is UNIT:
         return None
-    made = make_atom(name, rel, Fraction(0), UNIT)
-    return made if not isinstance(made, bool) else None
+    return make_atom(name, rel, Fraction(0), UNIT)
 
 
 # ---------------------------------------------------------------------------
@@ -476,13 +475,14 @@ def _root_compare(c1: Fraction, k1: int, c2: Fraction, k2: int) -> int:
 
 
 def _emit(u: Atom, v: Atom, su: int, sv: int, rel: str, q: Fraction,
-          note_sink: Optional[list], approx: bool):
-    """|u| rel q*|v| translated back to the signed names as a comparison."""
+          note_sink: Optional[list], approx: bool) -> CommAtom:
+    """|u| rel q*|v| translated back to the signed names as a comparison;
+    ``u`` is a name other than the unit and ``v``."""
     if su > 0:
         made = make_atom(u, rel, q * sv, v)
     else:
         made = make_atom(u, comm.mirror(rel), -q * sv, v)
-    if approx and note_sink is not None and not isinstance(made, bool):
+    if approx and note_sink is not None:
         note_sink.append(made)
     return made
 
@@ -491,7 +491,8 @@ def project_to_ratio(atoms: Sequence[MultAtom], u: Atom, v: Atom,
                      env: SignEnv,
                      max_den: int = ROOT_DENOM_BOUND,
                      approx_sink: Optional[list] = None) -> list:
-    """Strongest derivable bounds on the ratio of u to v (v may be the unit).
+    """Strongest derivable bounds on the ratio of u to v, two distinct names
+    of which only v may be the unit.
 
     Adds the defining equation of the ratio, eliminates everything else, and
     turns surviving one-name power bounds into comparisons; fractional roots
@@ -540,13 +541,6 @@ def project_to_ratio(atoms: Sequence[MultAtom], u: Atom, v: Atom,
         exact = _perfect_root(c, k)
         q = (exact if exact is not None
              else rational_root_bound(c, k, direction, max_den))
-        made = _emit(u, v, su, sv, rels[strict], q, approx_sink,
-                     exact is None)
-        if made is False:
-            return [made]
-        if made is not True:
-            out.append(made)
-    # A coinciding exact pair collapses to an equality.
-    if len(out) == 2 and out[0] == out[1]:
-        out = out[:1]
+        out.append(_emit(u, v, su, sv, rels[strict], q, approx_sink,
+                         exact is None))
     return out

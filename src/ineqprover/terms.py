@@ -325,49 +325,27 @@ def _factor_list(p: Preterm):
     return ((p, 1),)
 
 
-def _lex_additive(s: Preterm, t: Preterm) -> bool:
-    # Compare coefficient vectors over the merged, descending summand union.
-    sa, ta = _summands(s), _summands(t)
+def _lex_merge(sa, ta, key: int) -> bool:
+    # Compare value vectors over the merged, descending union of keys; each
+    # entry holds its key at index ``key`` and its value at the other one.
+    value = 1 - key
     i = j = 0
     while i < len(sa) and j < len(ta):
-        cs, us = sa[i]
-        ct, ut = ta[j]
-        if us == ut:
-            if cs != ct:
-                return cs < ct
+        ks, kt = sa[i][key], ta[j][key]
+        if ks == kt:
+            vs, vt = sa[i][value], ta[j][value]
+            if vs != vt:
+                return vs < vt
             i += 1
             j += 1
-        elif precedes(ut, us):  # us is greater; t's coefficient there is 0
-            return cs < 0
+        elif precedes(kt, ks):  # ks is greater; t's value there is 0
+            return sa[i][value] < 0
         else:
-            return 0 < ct
+            return 0 < ta[j][value]
     if i < len(sa):
-        return sa[i][0] < 0
+        return sa[i][value] < 0
     if j < len(ta):
-        return 0 < ta[j][0]
-    return False
-
-
-def _lex_multiplicative(s: Preterm, t: Preterm) -> bool:
-    # Compare exponent vectors over the merged, descending base union.
-    sf, tf = _factor_list(s), _factor_list(t)
-    i = j = 0
-    while i < len(sf) and j < len(tf):
-        bs, es = sf[i]
-        bt, et = tf[j]
-        if bs == bt:
-            if es != et:
-                return es < et
-            i += 1
-            j += 1
-        elif precedes(bt, bs):
-            return es < 0
-        else:
-            return 0 < et
-    if i < len(sf):
-        return sf[i][1] < 0
-    if j < len(tf):
-        return 0 < tf[j][1]
+        return 0 < ta[j][value]
     return False
 
 
@@ -393,9 +371,9 @@ def precedes(s: Preterm, t: Preterm) -> bool:
         if t is ONE:
             return True
         return s.index > t.index
-    if rs % 2 == 1:
-        return _lex_additive(s, t)
-    return _lex_multiplicative(s, t)
+    if rs % 2 == 1:  # (coeff, summand) entries
+        return _lex_merge(_summands(s), _summands(t), 1)
+    return _lex_merge(_factor_list(s), _factor_list(t), 0)  # (base, exp)
 
 
 def _descending(p: Preterm, q: Preterm) -> int:

@@ -57,6 +57,27 @@ def test_constant_comparisons_resolve_at_input():
     assert state.refuted
 
 
+def test_make_atom_folds_to_a_bool_only_for_the_unit_or_a_self_comparison():
+    # The pair layer reads make_atom's result between two distinct names,
+    # the left one not the unit, as an atom without testing for a bool.
+    bank = T.TermBank()
+    vx, vy = bank.var("x"), bank.var("y")
+    points = [(Q(a), Q(b)) for a in (-2, 0, 3) for b in (-1, 0, Q(1, 2))]
+    for lhs, rhs in ((vx, vy), (vy, vx), (vx, UNIT)):
+        for rel in comm.RELS:
+            for coeff in (Q(0), Q(3, 2), Q(-2)):
+                made = make_atom(lhs, rel, coeff, rhs)
+                assert isinstance(made, comm.CommAtom), (lhs, rel, coeff, rhs)
+                for px, py in points:
+                    value = {vx: px, vy: py, UNIT: Q(1)}
+                    assert comm.holds(value[made.lhs], made.rel,
+                                      made.coeff * value[made.rhs]) \
+                        == comm.holds(value[lhs], rel, coeff * value[rhs])
+    assert make_atom(UNIT, LT, 0, vx) is False
+    assert make_atom(vx, LE, 1, vx) is True
+    assert make_atom(UNIT, GT, Q(1, 2), UNIT) is True
+
+
 def test_disequalities_are_rejected():
     with pytest.raises(T.TermError, match="case splits"):
         B.separate_terms([(x, "!=", y)])

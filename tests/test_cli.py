@@ -132,6 +132,16 @@ def test_hypothesis_with_huge_constant_exits_two(tmp_path, capsys):
                         "constant too large to print")
 
 
+@_NEEDS_DIGIT_LIMIT
+def test_derived_constant_past_digit_limit_exits_two(tmp_path, capsys):
+    # Every input constant prints; the cube's bound, derived by the
+    # multiplicative pass, does not.
+    path = tmp_path / "cube.prob"
+    path.write_text("assume: x > 10^1500\nassume: y = x^3\nrefute: y > 0\n")
+    _assert_input_error(*run_cli(capsys, "refute", str(path)),
+                        "constant too large to print")
+
+
 def test_non_utf8_problem_file_exits_two(tmp_path, capsys):
     path = tmp_path / "latin1.prob"
     path.write_bytes("assume: 0 < x\nassume: x < \u00e9\n".encode("latin-1"))
@@ -240,10 +250,28 @@ GOLDEN_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+# Three seed-401 problems of the benchmark's generators, copied into
+# tests/golden/: the additive projection over all pairs (chain), the
+# positive cone (cone), and many rounds of small checks (Avigad family).
+GENERATED = Path(__file__).resolve().parent / "golden"
+GENERATED_REPORTS = {
+    "avigad-r1": ("refute", "5acdadb91f68288df5f82188761f0996"
+                            "498a18d520674cdcc54c29c5f0d73e1b"),
+    "chain-14-n11": ("prove", "a93be77d98c3759f59cf76e72f4d186e"
+                              "abdbcdda31cbf79c352e411fdef1f924"),
+    "cone-05": ("refute", "89d1a213883332c9e828431890d9af30"
+                          "08ca423c62a69c96cbbc088ccc8c6bd9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted({**GOLDEN_REPORTS,
+                                         **GENERATED_REPORTS}))
 def test_json_report_matches_golden_hash(name, capsys, monkeypatch):
     monkeypatch.delenv("INEQ_MAX_ROUNDS", raising=False)
     monkeypatch.delenv("INEQ_ROOT_DENOM_BOUND", raising=False)
-    mode, digest = GOLDEN_REPORTS[name]
-    _, out, _ = run_cli(capsys, mode, str(PROBLEMS / f"{name}.prob"), "--json")
+    if name in GENERATED_REPORTS:
+        (mode, digest), folder = GENERATED_REPORTS[name], GENERATED
+    else:
+        (mode, digest), folder = GOLDEN_REPORTS[name], PROBLEMS
+    _, out, _ = run_cli(capsys, mode, str(folder / f"{name}.prob"), "--json")
     assert hashlib.sha256(out.encode()).hexdigest() == digest

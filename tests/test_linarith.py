@@ -204,8 +204,8 @@ def test_three_names_fall_back_to_the_kernel(monkeypatch):
 
 
 def test_pair_checks_never_reach_the_kernel(monkeypatch):
-    # implies and prune_entailed decide pair contexts in the plane; only the
-    # projection's own feasibility test calls the FM kernel's check.
+    # implies, prune_entailed and the projection's own feasibility test all
+    # decide pair contexts in the plane.
     _, (x, y) = _bank_vars("x", "y")
     atoms = [make_atom(x, LT, Q(2), y), make_atom(x, LE, Q(3), y),
              make_atom(x, GT, Q(1), UNIT), make_atom(y, LT, Q(5), UNIT)]
@@ -218,8 +218,9 @@ def test_pair_checks_never_reach_the_kernel(monkeypatch):
     assert L.implies(system, make_atom(x, LT, Q(10), UNIT))
     assert not L.implies(system, make_atom(x, LT, Q(1), y))
     assert L.prune_entailed(atoms) == [atoms[0], atoms[2], atoms[3]]
-    with pytest.raises(AssertionError, match="FM kernel called"):
-        L.project_to_pair(system, x, y)
+    assert L.project_to_pair(system, x, y) == [atoms[0], atoms[2], atoms[3]]
+    absurd = system + [L.from_comm(make_atom(x, GT, Q(10), UNIT))]
+    assert L.project_to_pair(absurd, x, y) == comm.contradiction_pair(y)
 
 
 def test_projection_memo_holds_only_its_own_elimination_chain():
