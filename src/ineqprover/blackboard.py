@@ -10,7 +10,6 @@ contradiction, a fixpoint, or the round cap.  No case splits anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -23,7 +22,7 @@ from .linarith import from_comm, lin_atom
 from .monofun import AppEntry, MonoDecl
 from .mularith import ROOT_DENOM_BOUND, SignEnv
 from .terms import (AddNode, Atom, MultNode, NormalTerm, Preterm, RawTerm,
-                    TermBank, TermError)
+                    TermBank, TermError, Value)
 
 REFUTED = "refuted"
 SATURATED = "saturated"
@@ -36,24 +35,22 @@ MAX_ROUNDS = 30
 _NEGATED = {LT: GE, LE: GT, GT: LE, GE: LT}
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    round: int
-    module: str  # input | add | mult | mono
-    premises: tuple
-    derived: str
-    note: str = ""
-    comm_premises: tuple = ()
-    derived_atom: Optional[CommAtom] = None
+class TraceStep(Value):
+    # module: input | add | mult | mono
+    __slots__ = ("round", "module", "premises", "derived", "note",
+                 "comm_premises", "derived_atom")
+    _defaults = ("", (), None)  # note, comm_premises, derived_atom
 
 
-@dataclass
 class Verdict:
-    kind: str  # refuted | saturated | round-cap-reached | resource-limit
-    rounds: int
-    trace: tuple
-    state: Optional["ProblemState"] = None
-    tasks: tuple = ()  # ((label, Verdict), ...) for split goals
+    def __init__(self, kind: str, rounds: int, trace: tuple,
+                 state: Optional["ProblemState"] = None, tasks: tuple = ()):
+        # kind: refuted | saturated | round-cap-reached | resource-limit
+        self.kind = kind
+        self.rounds = rounds
+        self.trace = trace
+        self.state = state
+        self.tasks = tasks  # ((label, Verdict), ...) for split goals
 
     @property
     def refuted(self) -> bool:

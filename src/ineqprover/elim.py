@@ -24,6 +24,7 @@ questions, over at most two, are decided in the plane by ``linarith``.
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
@@ -106,24 +107,27 @@ def _eliminate(system: Sequence, name) -> tuple:
     return drop_weaker(rest)
 
 
-def _fewest_occurring(system: Sequence, keep):
-    """The name to eliminate next: fewest occurrences, then lowest index."""
-    counts: dict = {}
-    for a in system:
-        for name, _ in a.coeffs:
-            if name not in keep and name is not UNIT:
-                counts[name] = counts.get(name, 0) + 1
-    return min(counts, key=lambda n: (counts[n], n.index), default=None)
+def _fewest_occurring(system: Sequence, skip: set):
+    """The name to eliminate next: fewest occurrences, then lowest index,
+    among names whose index is not in ``skip``.  Counting by index keeps the
+    names' own hashing out of the loop."""
+    counts = Counter(name.index for a in system for name, _ in a.coeffs)
+    best = min(((n, i) for i, n in counts.items() if i not in skip),
+               default=None)
+    if best is None:
+        return None
+    return next(name for a in system for name, _ in a.coeffs
+                if name.index == best[1])
 
 
 def eliminate_all_except(system: Iterable, keep: Iterable,
                          memo: Optional[dict] = None) -> tuple:
     """Project onto ``keep`` (plus the unit), fewest-occurrence order first;
     ``memo`` is passed to every elimination."""
-    keep = set(keep)
+    skip = {UNIT.index, *(name.index for name in keep)}
     current = canonicalize(system)
     while True:
-        target = _fewest_occurring(current, keep)
+        target = _fewest_occurring(current, skip)
         if target is None:
             return current
         current = eliminate(current, target, memo)

@@ -10,19 +10,16 @@ coefficient-1 comparisons between the argument bodies are used: a fact about
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .comm import GE, GT, CommAtom, UNIT, make_atom, mirror
-from .terms import Atom
+from .terms import Atom, Value
 
 
-@dataclass(frozen=True, slots=True)
-class MonoDecl:
-    symbol: str
-    increasing: bool
-    range_sign: Optional[str] = None  # "pos" | "nonneg" | None
+class MonoDecl(Value):
+    __slots__ = ("symbol", "increasing", "range_sign")
+    _defaults = (None,)  # range_sign: "pos" | "nonneg" | None
 
     def describe(self) -> str:
         direction = "increasing" if self.increasing else "decreasing"
@@ -30,14 +27,10 @@ class MonoDecl:
         return f"{self.symbol} {direction}{suffix}"
 
 
-@dataclass(frozen=True, slots=True)
-class AppEntry:
+class AppEntry(Value):
     """A named application: app_name = symbol(coeff * arg_name)."""
 
-    symbol: str
-    coeff: Fraction
-    arg_name: Atom
-    app_name: Atom
+    __slots__ = ("symbol", "coeff", "arg_name", "app_name")
 
 
 def _arg_comparisons(comm_atoms: Sequence[CommAtom], a: Atom, b: Atom):

@@ -18,13 +18,18 @@ greater-than forms are normalized at parse time by swapping sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .monofun import MonoDecl
-from .terms import App, Div, One, Pow, RawTerm, Scale, Var
+from .terms import (App, Div, Neg, One, Pow, Prod, RawTerm, Scale, Sum, Value,
+                    Var)
 
 RELATIONS = ("<=", ">=", "!=", "<", ">", "=")
+
+#: How deep parentheses, application arguments, unary minus signs and
+#: chained divisions may nest; deeper input is a ParseError rather than a
+#: RecursionError here or in the recursive passes over the term that follow.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -35,12 +40,12 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-@dataclass
 class ProblemFile:
-    declarations: Dict[str, MonoDecl] = field(default_factory=dict)
-    hypotheses: List[tuple] = field(default_factory=list)
-    goal: Optional[tuple] = None
-    options: Dict[str, int] = field(default_factory=dict)
+    def __init__(self):
+        self.declarations: Dict[str, MonoDecl] = {}
+        self.hypotheses: List[tuple] = []
+        self.goal: Optional[tuple] = None
+        self.options: Dict[str, int] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -48,12 +53,9 @@ class ProblemFile:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NUM IDENT OP REL LPAREN RPAREN END
-    text: str
-    line: int
-    column: int
+class _Token(Value):
+    # kind: NUM IDENT OP REL LPAREN RPAREN END
+    __slots__ = ("kind", "text", "line", "column")
 
 
 def _tokenize(text: str, line: int, start_col: int = 1) -> List[_Token]:
@@ -125,6 +127,7 @@ class _ExprParser:
         self.tokens = tokens
         self.pos = 0
         self.declared = declared
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -142,26 +145,53 @@ class _ExprParser:
                              tok.line, tok.column)
         return self.take()
 
-    def parse_expression(self) -> RawTerm:
-        node = self.parse_term()
-        while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.take().text
-            right = self.parse_term()
-            node = node + right if op == "+" else node - right
+    def descend(self, token: _Token) -> None:
+        """Go one level deeper at ``token``, or fail past the bound."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"expression nested more than {MAX_NESTING} "
+                             "levels deep", token.line, token.column)
+        self.depth += 1
+
+    def nested(self, opener: _Token, parse) -> RawTerm:
+        """``parse()`` one nesting level below the one ``opener`` is on."""
+        self.descend(opener)
+        node = parse()
+        self.depth -= 1
         return node
 
-    def parse_term(self) -> RawTerm:
-        node = self.parse_unary()
-        while self.peek().kind == "OP" and self.peek().text in "*/":
+    # A run of ``+ -`` is one flat Sum and a run of ``*`` one flat Prod, so
+    # a long chain does not nest; normalization is the same either way.  A
+    # run of ``/`` does nest, to the left, so each division pushes the whole
+    # term one level down: a term leaves ``depth`` raised by its divisions
+    # and a sum is as deep as its deepest term.
+
+    def parse_expression(self) -> RawTerm:
+        start = self.depth
+        parts = [self.parse_term()]
+        deepest = self.depth
+        while self.peek().kind == "OP" and self.peek().text in "+-":
+            self.depth = start
             op = self.take().text
-            right = self.parse_unary()
-            node = node * right if op == "*" else Div(node, right)
-        return node
+            right = self.parse_term()
+            deepest = max(deepest, self.depth)
+            parts.append(right if op == "+" else Neg(right))
+        self.depth = deepest
+        return parts[0] if len(parts) == 1 else Sum(parts)
+
+    def parse_term(self) -> RawTerm:
+        parts = [self.parse_unary()]
+        while self.peek().kind == "OP" and self.peek().text in "*/":
+            op = self.take()
+            if op.text == "*":
+                parts.append(self.parse_unary())
+            else:
+                self.descend(op)
+                parts = [Div(_product(parts), self.parse_unary())]
+        return _product(parts)
 
     def parse_unary(self) -> RawTerm:
         if self.peek().kind == "OP" and self.peek().text == "-":
-            self.take()
-            return -self.parse_unary()
+            return -self.nested(self.take(), self.parse_unary)
         return self.parse_power()
 
     def parse_power(self) -> RawTerm:
@@ -196,18 +226,20 @@ class _ExprParser:
                 if tok.text not in self.declared:
                     raise ParseError(f"undeclared function symbol {tok.text!r}",
                                      tok.line, tok.column)
-                self.take()
-                arg = self.parse_expression()
+                arg = self.nested(self.take(), self.parse_expression)
                 self.expect("RPAREN")
                 return App(tok.text, arg)
             return Var(tok.text)
         if tok.kind == "LPAREN":
-            self.take()
-            node = self.parse_expression()
+            node = self.nested(self.take(), self.parse_expression)
             self.expect("RPAREN")
             return node
         raise ParseError(f"expected an expression, found "
                          f"{tok.text or 'end of line'}", tok.line, tok.column)
+
+
+def _product(parts: List[RawTerm]) -> RawTerm:
+    return parts[0] if len(parts) == 1 else Prod(parts)
 
 
 def parse_expression(text: str,
@@ -235,6 +267,7 @@ def _parse_comparison(text: str, declared: Dict[str, MonoDecl],
     if rel == "!=":
         raise ParseError("disequalities are not supported (no case splits)",
                          tok.line, tok.column)
+    parser.depth = 0  # each side nests on its own
     rhs = parser.parse_expression()
     end = parser.peek()
     if end.kind != "END":

@@ -14,12 +14,18 @@ Division folds into exponent -1; its soundness at a zero denominator is the
 caller's concern (the search engine only uses multiplicative facts for
 quantities known to be nonzero).  Evaluation follows the convention
 ``x / 0 = 0``.
+
+Raw terms, like the package's other small records (trace steps, function
+declarations, tokens), are ``Value``s: slotted, immutable, built
+positionally and compared field by field within one class.  ``Value`` is a
+plain class rather than a dataclass, so importing the package does not load
+``dataclasses`` and with it ``inspect``, ``ast`` and ``dis``; that chain was
+most of the import time of a fresh ``ineq`` process.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Callable, Iterable, Mapping, Optional, Union
@@ -45,7 +51,56 @@ def rational(value: RationalLike) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-class RawTerm:
+class Value:
+    """An immutable record compared by value.
+
+    A subclass lists its fields in ``__slots__`` and is built positionally;
+    ``_defaults`` fills trailing fields left out.  Records are equal when
+    they have the same class and equal fields, hash as their field tuple,
+    print like ``Var(name='x')``, refuse assignment, and copy and pickle by
+    being built again from their fields.
+    """
+
+    __slots__ = ()
+    _defaults: tuple = ()
+
+    def __init__(self, *args):
+        fields = self.__slots__
+        missing = len(fields) - len(args)
+        if not 0 <= missing <= len(self._defaults):
+            raise TypeError(f"{type(self).__qualname__} takes {len(fields)} "
+                            f"fields, got {len(args)}")
+        args += self._defaults[len(self._defaults) - missing:]
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self.__slots__)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RawTerm(Value):
     """Base class for input expression trees.  Operators build larger trees."""
 
     __slots__ = ()
@@ -90,71 +145,56 @@ def as_raw(value) -> RawTerm:
     return Scale(q, One())
 
 
-@dataclass(frozen=True, slots=True)
 class One(RawTerm):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Var(RawTerm):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True)
 class Sum(RawTerm):
-    parts: tuple
+    __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[RawTerm]):
-        object.__setattr__(self, "parts", tuple(parts))
+        super().__init__(tuple(parts))
 
 
-@dataclass(frozen=True, slots=True)
 class Neg(RawTerm):
-    arg: RawTerm
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True, slots=True)
 class Prod(RawTerm):
-    parts: tuple
+    __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[RawTerm]):
-        object.__setattr__(self, "parts", tuple(parts))
+        super().__init__(tuple(parts))
 
 
-@dataclass(frozen=True, slots=True)
 class Div(RawTerm):
-    num: RawTerm
-    den: RawTerm
+    __slots__ = ("num", "den")
 
 
-@dataclass(frozen=True, slots=True)
 class Pow(RawTerm):
-    base: RawTerm
-    exponent: int
+    __slots__ = ("base", "exponent")
 
     def __init__(self, base: RawTerm, exponent: int):
         if not isinstance(exponent, int) or isinstance(exponent, bool):
             raise TermError("power exponent must be an integer")
         if exponent == 0:
             raise TermError("power with exponent 0 is rejected; simplify it away first")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
+        super().__init__(base, exponent)
 
 
-@dataclass(frozen=True, slots=True)
 class Scale(RawTerm):
-    factor: Fraction
-    arg: RawTerm
+    __slots__ = ("factor", "arg")
 
     def __init__(self, factor: RationalLike, arg: RawTerm):
-        object.__setattr__(self, "factor", rational(factor))
-        object.__setattr__(self, "arg", arg)
+        super().__init__(rational(factor), arg)
 
 
-@dataclass(frozen=True, slots=True)
 class App(RawTerm):
-    symbol: str
-    arg: RawTerm
+    __slots__ = ("symbol", "arg")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ineqprover import cli
+from ineqprover.parsing import MAX_NESTING
 
 MOTIVATING = """\
 assume: 0 < x
@@ -149,6 +150,56 @@ def test_non_utf8_problem_file_exits_two(tmp_path, capsys):
                         f"{path}: line 2, column 13: not UTF-8")
 
 
+# (opener, closer) of one nesting level; each opener ends in the token that
+# opens its level.
+NESTING = {"parens": ("(", ")"), "minus": ("-", ""), "division": ("x/", ""),
+           "product": ("x*(", ")"), "application": ("f(", ")")}
+
+
+def _deep_problem(tmp_path, expr):
+    path = tmp_path / "deep.prob"
+    path.write_text("declare: f increasing positive\nassume: 0 < x\n"
+                    f"refute: {expr} < 0\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("shape", sorted(NESTING))
+def test_nesting_at_the_bound_runs_end_to_end(shape, tmp_path, capsys):
+    opener, closer = NESTING[shape]
+    expr = opener * MAX_NESTING + "x" + closer * MAX_NESTING
+    if shape != "application":
+        code, out, err = run_cli(capsys, "normalize", "--", expr)
+        assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, "refute", _deep_problem(tmp_path, expr))
+    assert (code, err) == (0, "") and out.startswith("REFUTED")
+
+
+@pytest.mark.parametrize("shape", sorted(NESTING))
+def test_nesting_past_the_bound_exits_two(shape, tmp_path, capsys):
+    opener, closer = NESTING[shape]
+    depth = MAX_NESTING + 1
+    expr = opener * depth + "x" + closer * depth
+    column = len(opener) * depth
+    if shape != "application":
+        _assert_input_error(*run_cli(capsys, "normalize", "--", expr),
+                            f"line 1, column {column}: expression nested")
+    # "refute: " shifts the columns of the third line by 8.
+    _assert_input_error(*run_cli(capsys, "refute",
+                                 _deep_problem(tmp_path, expr)),
+                        f"line 3, column {column + 8}: expression nested")
+
+
+@pytest.mark.parametrize("shape, depth", [("parens", 200), ("parens", 1200),
+                                          ("minus", 1000), ("product", 300),
+                                          ("division", 1200)])
+def test_far_past_the_bound_is_one_error_line(shape, depth, tmp_path, capsys):
+    opener, closer = NESTING[shape]
+    expr = opener * depth + "x" + closer * depth
+    _assert_input_error(*run_cli(capsys, "refute",
+                                 _deep_problem(tmp_path, expr)),
+                        "line 3, column ")
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run_cli(capsys, "prove", "/nonexistent/x.prob")
     assert code == 2
@@ -218,16 +269,28 @@ def test_bad_flag_values_name_the_flag(tmp_path, capsys):
         assert err == f"error: {flag} must be positive\n"
 
 
-def test_console_entry_point_runs():
+def _run_child(*args):
     # The child does not see pytest's pythonpath setting; give it src/.
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ineqprover.cli", "normalize", "x + x"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def test_console_entry_point_runs():
+    proc = _run_child("-m", "ineqprover.cli", "normalize", "x + x")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2 * x"
+
+
+def test_cli_import_skips_the_dataclasses_machinery():
+    # A fresh process pays for every module the CLI imports before it can
+    # start; dataclasses alone brings inspect, ast, dis and tokenize.
+    proc = _run_child("-c", "import sys, ineqprover.cli; print(sorted("
+                      "{'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"

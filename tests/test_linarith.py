@@ -56,6 +56,52 @@ def test_strictness_is_inherited():
     assert elim.eliminate(mixed, x)[0].rel == LT
 
 
+def _fewest_by_brute_force(system, keep):
+    # The reference order: count every occurrence of every name, compare
+    # names as objects; the unit and the kept names are never candidates.
+    names = {n for a in system for n, _ in a.coeffs} - set(keep) - {UNIT}
+    return min(names, default=None, key=lambda n: (
+        sum(m is n for a in system for m, _ in a.coeffs), n.index))
+
+
+def _next_to_eliminate(system, keep):
+    return elim._fewest_occurring(system, {UNIT.index}
+                                  | {n.index for n in keep})
+
+
+def test_elimination_order_ties_go_to_the_lowest_index():
+    _, (x, y, z) = _bank_vars("x", "y", "z")
+    system = elim.canonicalize([
+        L.lin_atom({x: 1, y: -1}, LT),           # x < y
+        L.lin_atom({z: 1, UNIT: -1}, LE),        # z <= 1
+        L.lin_atom({x: 2, y: 1, UNIT: -3}, LT),  # 2x + y < 3
+    ])
+    # The unit occurs twice and z once, x and y twice each.
+    assert _next_to_eliminate(system, ()) is z
+    assert _next_to_eliminate(system, (z,)) is x
+    assert _next_to_eliminate(system, (x, z)) is y
+    assert _next_to_eliminate(system, (x, y, z)) is None
+    # The unit alone is never chosen, though it occurs least.
+    only_unit = elim.canonicalize([L.lin_atom({x: 1, y: -1}, LT),
+                                   L.lin_atom({x: 1, y: 1, UNIT: -1}, LE)])
+    assert _next_to_eliminate(only_unit, ()) is x
+
+
+def test_elimination_order_matches_brute_force_counting():
+    rng = random.Random(17)
+    bank, names = _bank_vars(*(f"v{i}" for i in range(7)))
+    for _ in range(300):
+        system = elim.canonicalize(
+            L.lin_atom({**{n: rng.choice((-2, -1, 1, 3))
+                           for n in rng.sample(names, rng.randint(1, 4))},
+                        UNIT: rng.randint(-2, 2)},
+                       rng.choice((LT, LE, EQ)))
+            for _ in range(rng.randint(0, 8)))
+        keep = rng.sample(names, rng.randint(0, 3))
+        assert _next_to_eliminate(system, keep) is \
+            _fewest_by_brute_force(system, keep)
+
+
 # --- infeasibility against the independent oracle --------------------------------
 
 def test_opposite_strict_bounds_infeasible():

@@ -97,6 +97,21 @@ def test_error_carries_line_and_column():
     assert err.value.column > 8
 
 
+def test_divisions_count_toward_the_nesting_bound():
+    # ``a/b/c`` nests its left side, so a group's divisions push the term it
+    # sits in down with it; separate terms of a sum, and the two sides of a
+    # comparison, nest on their own.
+    chain = "/".join(["x"] * 51)                       # 50 divisions
+    at_bound = f"({chain})" + "/x" * 50                # 50 + 50 levels
+    assert T.normalize(parse_expression(at_bound)) == \
+        T.normalize(parse_expression("x^-99"))
+    with pytest.raises(ParseError, match="nested more than 100") as err:
+        parse_expression(at_bound + "/x")
+    assert err.value.column == len(at_bound) + 1
+    wide = " + ".join([at_bound] * 3)
+    parse_problem(f"assume: {wide} < {wide}\n")
+
+
 def test_two_goals_rejected():
     with pytest.raises(ParseError, match="at most one goal"):
         parse_problem("prove: x < 1\nprove: x < 2\n")

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as Q
 
@@ -278,3 +280,41 @@ def test_scaled_atom_order_matches_rational_order(n1, d1, n2, d2):
         assert not T.term_precedes(s, t) and not T.term_precedes(t, s)
     else:
         assert T.term_precedes(s, t) == (a < b)
+
+
+# --- records compared by value ----------------------------------------------
+
+def test_value_records_compare_hash_and_print_by_field():
+    from ineqprover.blackboard import TraceStep, separate_terms
+    from ineqprover.comm import GT, UNIT, make_atom
+    from ineqprover.monofun import MonoDecl
+
+    assert T.Sum((x, y)) != T.Prod((x, y))  # same fields, other class
+    assert T.Sum((x, y)) == T.Sum([x, y]) and T.Sum((x, y)) != T.Sum((y, x))
+    assert hash(T.Pow(x + 1, -2)) == hash(T.Pow(x + 1, -2))
+    assert len({T.Var("x"), T.Var("x"), T.One(), T.One()}) == 2
+    assert repr(T.Var("x")) == "Var(name='x')"
+    assert repr(T.Scale(Q(1, 2), T.One())) == \
+        "Scale(factor=Fraction(1, 2), arg=One())"
+    with pytest.raises(AttributeError):
+        x.name = "y"
+    with pytest.raises(AttributeError):
+        del x.name
+    assert x.name == "x"
+    with pytest.raises(TypeError):
+        T.Var()
+    assert MonoDecl("inv", False).range_sign is None
+    assert MonoDecl("exp", True, "pos") == MonoDecl("exp", True, "pos")
+    for record in (T.Pow(x + 1, -2), T.Scale(3, y), MonoDecl("inv", False)):
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert copy.deepcopy(record) == record
+
+    state = separate_terms([])
+    u = state.bank.var("u")
+    state.assert_comm_atom(make_atom(u, GT, 0, UNIT), "add")
+    before = [TraceStep(s.round, s.module, s.premises, s.derived, s.note,
+                        s.comm_premises, s.derived_atom) for s in state.trace]
+    assert before and before[0] is not state.trace[0]
+    assert state.trace == before
+    assert TraceStep(0, "add", (), "u > 0") == \
+        TraceStep(0, "add", (), "u > 0", "", (), None)
