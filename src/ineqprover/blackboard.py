@@ -233,17 +233,16 @@ class ProblemState:
 
 class Snapshot:
     """What the passes read off one version of the blackboard: the table's
-    atoms, the premise strings every derived step cites, the memo of the
-    additive pass's eliminations, and, built on first use, the linear system
-    and the positive cone.  It holds the definitions and signs it reads, not
-    the state, so a state is freed as soon as its verdict is dropped."""
+    atoms, the premise strings every derived step cites, and, built on first
+    use, the linear system, the additive pass's elimination cache holding
+    it, and the positive cone.  It holds the definitions and signs it reads,
+    not the state, so a state is freed as soon as its verdict is dropped."""
 
     def __init__(self, state: ProblemState):
         self.clock = state._clock
         self.defs_add = state.defs_add
         self.defs_mult = state.defs_mult
         self.signs = state.signs
-        self.memo: dict = {}
         self.atoms = tuple(state.comm_atoms())
         self.premises = tuple(state.def_strings()) + tuple(
             str(a) for a in self.atoms)
@@ -258,6 +257,10 @@ class Snapshot:
             atoms.append(lin_atom(coeffs, EQ))
         atoms.extend(from_comm(a) for a in self.atoms)
         return elim.canonicalize(atoms)
+
+    @cached_property
+    def cache(self) -> elim.PathCache:
+        return elim.PathCache(self.system)
 
     @cached_property
     def cone(self) -> list:
@@ -365,7 +368,7 @@ def _add_pass(state: ProblemState, force_all: bool) -> bool:
         if not force_all and not state._dirty("add", u, v):
             continue
         snap = state.snapshot()
-        derived = linarith.project_to_pair(snap.system, u, v, memo=snap.memo)
+        derived = linarith.project_to_pair(snap.cache, u, v)
         state._mark_visited("add", u, v)
         for atom in derived:
             changed |= state.assert_comm_atom(atom, "add", snap.premises,

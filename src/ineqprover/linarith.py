@@ -13,7 +13,8 @@ the row on it, ``implies`` refutes the negated row, ``prune_entailed`` drops
 comparisons the rest imply (for pair projections and for the blackboard's
 table alike), and ``project_to_pair`` reads projections back as
 comparisons.  Only a projection, whose row order fixes every report byte,
-sorts and memoizes (in a dict the caller owns, one per table version).
+sorts, and projections of one system share their elimination steps through
+an ``elim.PathCache`` the caller owns, one per table version.
 
 An entailment check is a yes/no question about at most two names besides
 the unit.  ``is_infeasible`` answers it on integer triples: it eliminates
@@ -353,30 +354,30 @@ def prune_entailed(atoms: Sequence[CommAtom], extra: Sequence[CommAtom] = (),
     return kept
 
 
-def project_to_pair(system: Sequence[LinAtom], u: Atom, v: Atom,
-                    memo: Optional[dict] = None) -> list:
+def project_to_pair(cache: elim.PathCache, u: Atom, v: Atom) -> list:
     """Strongest comparison atoms between u and v entailed by the system.
 
     Returns at most two scaled half-planes relating u and v plus at most two
     constant bounds for each of them; an infeasible system yields the
     canonical contradictory pair.  The reduced system over u, v and the unit
     is decided in the plane, so every system read afterwards is feasible.
-    ``memo`` is passed to the projection's eliminations, so it may be shared
-    by projections of one system; the checks do not use it.
+    The system is the one ``cache`` holds; projections through one cache
+    share their elimination steps, and the checks do not use it.
     """
     if u is v:
         raise ValueError("projection needs two distinct names")
-    reduced = elim.eliminate_all_except(system, (u, v), memo)
-    if is_infeasible(reduced):
+    reduced = cache.reduce((u, v))
+    if is_infeasible(reduced[0]):
         return comm.contradiction_pair(v if v is not UNIT else u)
     if u is UNIT or v is UNIT:
-        collected = _atoms_from_two_names(reduced, v if u is UNIT else u, UNIT)
+        collected = _atoms_from_two_names(elim.read(reduced),
+                                          v if u is UNIT else u, UNIT)
     else:
         # The unit is positive; make that explicit while projecting it away.
-        pair_only = elim.eliminate(reduced + (_UNIT_POSITIVE,), UNIT)
+        pair_only = elim.eliminate(reduced[0] + (_UNIT_POSITIVE,), UNIT)
         collected = (_atoms_from_two_names(pair_only, u, v)
-                     + _atoms_from_two_names(elim.eliminate(reduced, v, memo),
-                                             u, UNIT)
-                     + _atoms_from_two_names(elim.eliminate(reduced, u, memo),
-                                             v, UNIT))
+                     + _atoms_from_two_names(
+                         elim.read(cache.step(reduced, v)), u, UNIT)
+                     + _atoms_from_two_names(
+                         elim.read(cache.step(reduced, u)), v, UNIT))
     return prune_entailed(_merge_equalities(collected))

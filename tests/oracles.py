@@ -494,3 +494,91 @@ def _mult_rederives(state, premises, atom) -> bool:
         if not elim.is_infeasible(cone):
             return False
     return True
+
+
+# --- the reference elimination ------------------------------------------------
+# Fourier-Motzkin as the kernel computed it before it carried states between
+# steps: every step settles, sorts and counts the whole system again.  The
+# kernel must give the same tuples.
+
+
+def drop_weaker(atoms) -> tuple:
+    """Keep only the strongest inequality per direction; equalities and
+    constant atoms pass through.  Raises ResourceLimitError past ATOM_CAP."""
+    best: dict = {}
+    kept = []
+    for a in atoms:
+        key = a.strength()
+        if key is None:
+            kept.append(a)
+            continue
+        direction, strength = key
+        prev = best.get(direction)
+        if prev is None or strength > prev[0]:
+            best[direction] = (strength, a)
+    system = elim.canonicalize(kept + [a for _, a in best.values()])
+    if len(system) > elim.ATOM_CAP:
+        raise comm.ResourceLimitError("elimination system exceeded the cap")
+    return system
+
+
+def eliminate(system: Sequence, name) -> tuple:
+    """The first equality on the name in ``system``'s order is substituted
+    into the others; otherwise lower bounds are crossed with upper bounds."""
+    rest, equalities, lowers, uppers = [], [], [], []
+    for a in system:
+        c = a.coeff_of(name)
+        if c == 0:
+            rest.append(a)
+        elif a.rel == EQ:
+            equalities.append((a, c))
+        elif c > 0:
+            uppers.append((a, c))
+        else:
+            lowers.append((a, c))
+    if equalities:
+        eq, p = equalities[0]
+        rest += [a.cancel(c, eq, p, a.rel)
+                 for a, c in equalities[1:] + lowers + uppers]
+    else:
+        rest += [up.cancel(cu, low, cl,
+                           LT if LT in (low.rel, up.rel) else LE)
+                 for low, cl in lowers for up, cu in uppers]
+    return drop_weaker(rest)
+
+
+def fewest_occurring(system: Sequence, skip: set):
+    """The name to eliminate next: fewest occurrences, then lowest index,
+    among names whose index is not in ``skip``."""
+    counts: Dict[int, int] = {}
+    for a in system:
+        for name, _ in a.coeffs:
+            counts[name.index] = counts.get(name.index, 0) + 1
+    best = min(((n, i) for i, n in counts.items() if i not in skip),
+               default=None)
+    if best is None:
+        return None
+    return next(name for a in system for name, _ in a.coeffs
+                if name.index == best[1])
+
+
+def elimination_chain(system: Sequence, keep) -> list:
+    """The canonical systems met while projecting onto ``keep`` and the
+    unit, paired with the name eliminated from each; the last has None."""
+    skip = {UNIT.index, *(name.index for name in keep)}
+    current = elim.canonicalize(system)
+    chain = []
+    while True:
+        target = fewest_occurring(current, skip)
+        chain.append((current, target))
+        if target is None:
+            return chain
+        current = eliminate(current, target)
+
+
+def eliminate_all_except(system: Sequence, keep) -> tuple:
+    return elimination_chain(system, keep)[-1][0]
+
+
+def is_infeasible(system: Sequence) -> bool:
+    return elim.has_false_constant(eliminate_all_except(system, ()))

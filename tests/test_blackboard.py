@@ -361,7 +361,7 @@ def test_resource_limit_is_a_verdict():
     from ineqprover import elim, linarith
     original = elim.ATOM_CAP
 
-    def tiny_project(system, a, b, memo=None):
+    def tiny_project(cache, a, b):
         raise comm.ResourceLimitError("forced")
 
     real = linarith.project_to_pair

@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
 import pytest
 
-from ineqprover import comm, elim, linarith as L
+from ineqprover import comm, elim, linarith as L, mularith as M
 from ineqprover import terms as T
 from ineqprover.comm import EQ, GE, GT, LE, LT, UNIT, make_atom
 
@@ -13,6 +14,11 @@ import oracles
 def _bank_vars(*names):
     bank = T.TermBank()
     return bank, [bank.var(n) for n in names]
+
+
+def _project(system, u, v):
+    # A projection with a cache of its own, as a caller without one makes.
+    return L.project_to_pair(elim.PathCache(system), u, v)
 
 
 # --- elimination ---------------------------------------------------------------
@@ -64,9 +70,15 @@ def _fewest_by_brute_force(system, keep):
         sum(m is n for a in system for m, _ in a.coeffs), n.index))
 
 
-def _next_to_eliminate(system, keep):
-    return elim._fewest_occurring(system, {UNIT.index}
-                                  | {n.index for n in keep})
+def _next_to_eliminate(system, keep, path=()):
+    # The kernel's choice from the counts it carries: those of the start
+    # state, or those after stepping along ``path``.
+    cache = elim.PathCache(system)
+    state = cache.start
+    for name in path:
+        state = cache.step(state, name)
+    position = elim._fewest(state[1], cache.skip(keep))
+    return None if position is None else cache.names[position]
 
 
 def test_elimination_order_ties_go_to_the_lowest_index():
@@ -98,8 +110,13 @@ def test_elimination_order_matches_brute_force_counting():
                        rng.choice((LT, LE, EQ)))
             for _ in range(rng.randint(0, 8)))
         keep = rng.sample(names, rng.randint(0, 3))
-        assert _next_to_eliminate(system, keep) is \
-            _fewest_by_brute_force(system, keep)
+        first = _next_to_eliminate(system, keep)
+        assert first is _fewest_by_brute_force(system, keep)
+        if first is not None:
+            # The counts carried through a step match a recount.
+            stepped = oracles.eliminate(system, first)
+            assert _next_to_eliminate(system, keep, (first,)) is \
+                _fewest_by_brute_force(stepped, keep)
 
 
 # --- infeasibility against the independent oracle --------------------------------
@@ -150,7 +167,7 @@ def test_checks_ignore_row_order_repeats_and_true_rows():
         atoms = [make_atom(lhs, rng.choice([LT, LE, EQ, GE, GT]),
                            oracles.random_rational(rng), rhs)]
         if oracles.oracle_feasible(system):
-            atoms += L.project_to_pair(system, names[0], names[1])
+            atoms += _project(system, names[0], names[1])
         for atom in atoms:
             entailed = not any(oracles.oracle_feasible(system + [L.from_comm(n)])
                                for n in oracles.negations(atom))
@@ -264,14 +281,16 @@ def test_pair_checks_never_reach_the_kernel(monkeypatch):
     assert L.implies(system, make_atom(x, LT, Q(10), UNIT))
     assert not L.implies(system, make_atom(x, LT, Q(1), y))
     assert L.prune_entailed(atoms) == [atoms[0], atoms[2], atoms[3]]
-    assert L.project_to_pair(system, x, y) == [atoms[0], atoms[2], atoms[3]]
+    assert _project(system, x, y) == [atoms[0], atoms[2], atoms[3]]
     absurd = system + [L.from_comm(make_atom(x, GT, Q(10), UNIT))]
-    assert L.project_to_pair(absurd, x, y) == comm.contradiction_pair(y)
+    assert _project(absurd, x, y) == comm.contradiction_pair(y)
 
 
 def test_projection_memo_holds_only_its_own_elimination_chain():
-    # Every memo key starts from the canonical input or from an earlier
-    # elimination's result; the final prune's checks leave no keys.
+    # Every cached state lies on an elimination path of this system: its key
+    # is a proper prefix of a projected pair's path, and its rows are the
+    # reference's system there.  The last step of a pair and the final
+    # prune's checks leave no entries.
     _, (u, v, w) = _bank_vars("u", "v", "w")
     system = [
         L.lin_atom({u: 1, w: -1, UNIT: -1}, LE),  # u <= w + 1
@@ -280,10 +299,20 @@ def test_projection_memo_holds_only_its_own_elimination_chain():
         L.lin_atom({u: -1, v: 1, w: 1}, LE),  # v + w <= u
         L.lin_atom({w: -1, UNIT: -5}, LT),  # w > -5
     ]
-    memo: dict = {}
-    assert L.project_to_pair(system, u, v, memo=memo)
-    own = {elim.canonicalize(system), *memo.values()}
-    assert memo and [key for key in memo if key[0] not in own] == []
+    cache = elim.PathCache(system)
+    assert L.project_to_pair(cache, u, v)
+    assert cache.states == {}  # one step, the pair's own
+    assert L.project_to_pair(cache, u, UNIT)
+    own = {}
+    for keep in ((u, v), (u, UNIT)):
+        chain = oracles.elimination_chain(system, keep)
+        path = ()
+        for current, name in chain[:-2]:
+            path += (cache.names.index(name),)
+            own[path] = chain[len(path)][0]
+    assert cache.states and set(cache.states) <= set(own)
+    for path, state in cache.states.items():
+        assert elim.read(state) == own[path]
 
 
 def test_projection_is_sound():
@@ -378,7 +407,7 @@ def test_pair_projection_keeps_the_strongest_half_planes():
         L.lin_atom({v: 3, u: -1}, LT),   # u > 3v
         L.lin_atom({v: -1}, LT),         # v > 0
     ])
-    result = L.project_to_pair(system, u, v)
+    result = _project(system, u, v)
     expected = {make_atom(u, GT, 3, v), make_atom(v, GT, 0, UNIT)}
     assert set(result) == expected
 
@@ -389,13 +418,13 @@ def test_pair_projection_combines_inequalities():
         L.lin_atom({u: 1, v: -1, w: -1}, LE),  # u <= v + w
         L.lin_atom({w: 1, v: -1}, LE),         # w <= v
     ])
-    result = L.project_to_pair(system, u, v)
+    result = _project(system, u, v)
     assert result == [make_atom(u, LE, 2, v)]
 
 
 def test_pair_projection_of_empty_system_is_trivial():
     _, (u, v) = _bank_vars("u", "v")
-    assert L.project_to_pair((), u, v) == []
+    assert _project((), u, v) == []
 
 
 def test_pair_projection_reports_contradiction():
@@ -404,20 +433,20 @@ def test_pair_projection_reports_contradiction():
         L.lin_atom({u: 1, v: -1}, LT),
         L.lin_atom({v: 1, u: -1}, LT),
     ])
-    result = L.project_to_pair(system, u, v)
+    result = _project(system, u, v)
     assert set(result) == {make_atom(v, LT, 0, UNIT), make_atom(v, GT, 0, UNIT)}
 
 
 def test_pair_projection_detects_equalities():
     _, (u, v) = _bank_vars("u", "v")
     system = elim.canonicalize([L.lin_atom({u: 1, v: -2}, EQ)])
-    assert L.project_to_pair(system, u, v) == [make_atom(u, EQ, 2, v)]
+    assert _project(system, u, v) == [make_atom(u, EQ, 2, v)]
 
 
 def test_negative_coefficient_half_plane():
     _, (x, y) = _bank_vars("x", "y")
     system = elim.canonicalize([L.lin_atom({UNIT: 2, x: -1, y: -1}, LE)])
-    assert L.project_to_pair(system, x, y) == [make_atom(x, GT, -1, y)]
+    assert _project(system, x, y) == [make_atom(x, GT, -1, y)]
 
 
 def test_constant_bounds_emerge_from_unit_pair():
@@ -426,7 +455,7 @@ def test_constant_bounds_emerge_from_unit_pair():
         L.lin_atom({UNIT: 1, x: -2, u: 1}, LT),  # u < 2x - 1
         L.lin_atom({u: -1}, LE),                 # u >= 0
     ])
-    assert L.project_to_pair(system, x, UNIT) == [make_atom(x, GT, Q(1, 2), UNIT)]
+    assert _project(system, x, UNIT) == [make_atom(x, GT, Q(1, 2), UNIT)]
 
 
 def run_maximality_check(count: int, seed: int) -> None:
@@ -439,7 +468,7 @@ def run_maximality_check(count: int, seed: int) -> None:
         if L.is_infeasible(system):
             continue
         u, v = names[0], names[1]
-        returned = L.project_to_pair(system, u, v)
+        returned = _project(system, u, v)
         theta = [L.from_comm(a) for a in returned]
         for atom in returned:
             assert L.implies(list(system), atom)  # soundness: entailed by sys
@@ -465,6 +494,117 @@ def test_pair_projection_maximality_under_perturbation():
     run_maximality_check(40, seed=77)
 
 
+# --- the kernel against the reference -------------------------------------------
+
+def _lin_row(rng, names, rel=None):
+    combo = {n: rng.choice((-3, -2, -1, 1, 2)) for n in names}
+    if rng.random() < 0.6:
+        combo[UNIT] = rng.randint(-3, 3)
+    return L.lin_atom(combo, rel or rng.choice((LT, LE, LE, EQ)))
+
+
+def _lin_parallel(rng, row):
+    combo = {n: 2 * c for n, c in row.coeffs if n is not UNIT}
+    combo[UNIT] = rng.randint(-4, 4)
+    return L.lin_atom(combo, rng.choice((LT, LE)))
+
+
+# False: 1 < 0, 1 <= 0, 1 = 0; true: -1 < 0.
+_LIN_FALSE = [L.lin_atom({UNIT: 1}, rel) for rel in (LT, LE, EQ)]
+_LIN_TRUE = L.lin_atom({UNIT: -1}, LT)
+
+
+def _cone_row(rng, names, rel=None):
+    return M.mult_atom({n: rng.choice((-2, -1, 1, 2, 3)) for n in names},
+                       rel or rng.choice((LT, LE, LE, EQ)),
+                       Q(rng.randint(1, 6), rng.randint(1, 4)))
+
+
+def _cone_parallel(rng, row):
+    return M.mult_atom(dict(row.coeffs), rng.choice((LT, LE)),
+                       Q(rng.randint(1, 9), rng.randint(1, 4)))
+
+
+# False: 1 < 1/2, 1 <= 1/3, 1 = 2; true: 1 <= 2.
+_CONE_FALSE = [M.mult_atom({}, LT, Q(1, 2)), M.mult_atom({}, LE, Q(1, 3)),
+               M.mult_atom({}, EQ, Q(2))]
+_CONE_TRUE = M.mult_atom({}, LE, Q(2))
+
+_KINDS = {"linear": (_lin_row, _lin_parallel, _LIN_FALSE, _LIN_TRUE),
+          "cone": (_cone_row, _cone_parallel, _CONE_FALSE, _CONE_TRUE)}
+
+
+def _hard_system(rng, names, kind):
+    """Random rows plus the cases a step must get right: several equalities
+    on one name, parallel rows, repeated rows, false and true constants."""
+    row, parallel, false, true = _KINDS[kind]
+
+    def some_names():
+        return rng.sample(names, rng.randint(1, min(3, len(names))))
+
+    rows = [row(rng, some_names()) for _ in range(rng.randint(1, 7))]
+    if rng.random() < 0.5:
+        on = rng.choice(names)
+        rows += [row(rng, [on, *(n for n in some_names() if n is not on)], EQ)
+                 for _ in range(rng.randint(2, 3))]
+    for a in rng.sample(rows, min(2, len(rows))):
+        if a.rel != EQ:
+            rows.append(parallel(rng, a))
+    rows += rng.sample(rows, min(len(rows), rng.randint(0, 2)))
+    if rng.random() < 0.3:
+        rows.append(rng.choice(false))
+    if rng.random() < 0.3:
+        rows.append(true)
+    rng.shuffle(rows)
+    return rows
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except comm.ResourceLimitError:
+        return "resource-limit"
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_kernel_matches_the_reference(kind, monkeypatch):
+    rng = random.Random(2024)
+    bank = T.TermBank()
+    names = [bank.var(f"v{i}") for i in range(5)]
+    for i in range(300):
+        # Every tenth system runs under a cap small enough to fire.
+        monkeypatch.setattr(elim, "ATOM_CAP", 4 if i % 10 == 0 else 5000)
+        used = names[:rng.randint(2, 5)]
+        rows = _hard_system(rng, used, kind)
+        # The reference substitutes its first equality on the name; the
+        # kernel, its least by sort key.
+        ordered = sorted(rows, key=lambda a: a.sort_key)
+        for name in (*used, UNIT):
+            assert _outcome(elim.eliminate, ordered, name) == \
+                _outcome(oracles.eliminate, ordered, name), (rows, name)
+        for size in (0, 1, 2):
+            keep = rng.sample(used, size)
+            assert _outcome(elim.eliminate_all_except, rows, keep) == \
+                _outcome(oracles.eliminate_all_except, rows, keep), (rows, keep)
+        assert _outcome(elim.is_infeasible, rows) == \
+            _outcome(oracles.is_infeasible, rows), rows
+
+
+def test_a_shared_cache_projects_as_fresh_calls_do():
+    rng = random.Random(99)
+    _, names = _bank_vars("a", "b", "c", "d", "e")
+    stored = 0
+    for _ in range(40):
+        system = elim.canonicalize(_hard_system(rng, names[:rng.randint(3, 5)],
+                                                "linear"))
+        cache = elim.PathCache(system)
+        for u, v in itertools.combinations([UNIT, *names], 2):
+            assert L.project_to_pair(cache, u, v) == \
+                _project(system, u, v), (system, u, v)
+        stored += len(cache.states)
+    assert stored > 100
+
+
 # --- limits ----------------------------------------------------------------------
 
 def test_atom_cap_aborts_with_resource_limit(monkeypatch):
@@ -483,13 +623,33 @@ def test_atom_cap_aborts_with_resource_limit(monkeypatch):
 
 
 def test_subsumed_scalar_multiples_are_dropped():
-    _, (x, y) = _bank_vars("x", "y")
+    _, (x, y, z) = _bank_vars("x", "y", "z")
     system = elim.canonicalize([
         L.lin_atom({x: 1, y: -1, UNIT: -1}, LE),  # x - y <= 1
         L.lin_atom({x: 2, y: -2, UNIT: -6}, LE),  # x - y <= 3 (weaker)
     ])
-    reduced = elim.drop_weaker(system)
-    assert reduced == elim.canonicalize([L.lin_atom({x: 1, y: -1, UNIT: -1}, LE)])
+    stronger = elim.canonicalize([L.lin_atom({x: 1, y: -1, UNIT: -1}, LE)])
+    assert oracles.drop_weaker(system) == stronger
+    # The kernel keeps both until its first step, which drops the weaker.
+    assert elim.eliminate_all_except(system, (x, y)) == system
+    assert elim.eliminate(system, z) == stronger
+
+
+def test_a_weaker_parallel_row_keeps_its_false_constant():
+    # x - y < 1 makes x - y <= 3 redundant, but substituting x - y = 5 turns
+    # each into its own false constant, and constants are not settled against
+    # each other; so the first step must see the start's rows unsettled.
+    _, (x, y) = _bank_vars("x", "y")
+    system = elim.canonicalize([
+        L.lin_atom({x: 1, y: -1, UNIT: -1}, LT),
+        L.lin_atom({x: 1, y: -1, UNIT: -3}, LE),
+        L.lin_atom({x: 1, y: -1, UNIT: -5}, EQ),
+    ])
+    both = elim.canonicalize([L.lin_atom({UNIT: 1}, LT),
+                              L.lin_atom({UNIT: 1}, LE)])
+    assert len(both) == 2
+    assert oracles.eliminate_all_except(system, (y,)) == both
+    assert elim.eliminate_all_except(system, (y,)) == both
 
 
 # --- integer rows ----------------------------------------------------------------
